@@ -273,8 +273,9 @@ if [ "$(nproc)" -ge 4 ]; then
     brokerd_rate() { # brokerd_rate <workers> -> C=16 served-auth/s
         local d rate
         d=$(mktemp -d)
-        env CELLBRICKS_RESULTS_DIR="$d" CELLBRICKS_BROKERD_WORKERS="$1" \
-            cargo run --release -q -p cellbricks-bench --bin exp_brokerd >/dev/null
+        env CELLBRICKS_RESULTS_DIR="$d" \
+            cargo run --release -q -p cellbricks-bench --bin exp_brokerd -- \
+            --workers "$1" >/dev/null
         rate=$(metric "$d/exp_brokerd.metrics.json" "exp_brokerd.c16.served_per_sec")
         rm -rf "$d"
         echo "$rate"
@@ -296,9 +297,11 @@ fi
 # into a scratch dir and its stdout diffed against the committed copy —
 # any drift in the simulation, transport, or congestion-control hot
 # paths (deliberate or accidental) turns the gate red until the figures
-# are regenerated and re-reviewed.
+# are regenerated and re-reviewed. reputation, broker and chaos cover
+# what the figures do not: reputation refusals, broker-plane failover,
+# and the broker outage.
 replay=$(mktemp -d)
-for exp in fig7 fig8 fig9 fig10 table1 cc; do
+for exp in fig7 fig8 fig9 fig10 table1 cc reputation broker chaos; do
     echo
     echo "==> replay exp_$exp"
     env CELLBRICKS_RESULTS_DIR="$replay" \

@@ -8,9 +8,10 @@ use std::hint::black_box;
 
 use cellbricks_core::attach_bench::{run_baseline, run_cellbricks, ProcProfile, PLACEMENTS};
 use cellbricks_core::billing::TrafficReport;
+use cellbricks_core::broker_core::{BrokerCore, BrokerState, Inline};
 use cellbricks_core::brokerd::{BrokerWire, Brokerd, BrokerdConfig};
 use cellbricks_core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks_core::sap::{self, QosCap, SubscriberEntry};
+use cellbricks_core::sap::{self, QosCap};
 use cellbricks_crypto::cert::CertificateAuthority;
 use cellbricks_crypto::ed25519::SigningKey;
 use cellbricks_net::{Endpoint, NodeId, Packet};
@@ -82,28 +83,17 @@ fn bench_crypto(c: &mut Criterion) {
         &mut w2.rng,
     );
     let req_t = sap::telco_wrap_request(&w2.telco, req_u, qos());
-    c.bench_function("sap_broker_process", |b| {
+    // The broker core decides a batch of one; each iteration gets a fresh
+    // state so the same request is never refused as a replay.
+    let mut core = BrokerCore::new(w2.broker.clone(), w2.ca.public_key(), w2.rng.fork());
+    let batch = [req_t.encode()];
+    c.bench_function("broker_decide_one", |b| {
         let (sign_pk, encrypt_pk) = w2.ue.public();
         let id = w2.ue.identity();
         b.iter(|| {
-            sap::broker_process(
-                &w2.broker,
-                &w2.ca.public_key(),
-                black_box(&req_t),
-                |q| {
-                    (q == id).then_some(SubscriberEntry {
-                        sign_pk,
-                        encrypt_pk,
-                        plan_mbr_bps: 50_000_000,
-                        suspect: false,
-                        alias: 7,
-                        lawful_intercept: false,
-                    })
-                },
-                |_| true,
-                1,
-                &mut w2.rng,
-            )
+            let mut state = BrokerState::new(1);
+            state.provision(id, sign_pk, encrypt_pk, 50_000_000);
+            core.decide(&mut state, black_box(&batch), &Inline)
         })
     });
 }

@@ -3,9 +3,9 @@
 //! Unlike the simulated-time experiments (fig7–10, `exp_broker`), this
 //! one measures the **wall clock**: a real server thread runs the staged
 //! pipeline of [`cellbricks_core::broker_server`] — adaptive batch
-//! window on the I/O stage, `--workers` crypto threads (default: cores −
-//! 1, env `CELLBRICKS_BROKERD_WORKERS`) — on a loopback UDP socket while
-//! C load-generator clients pump pre-built `AuthReq` frames at it. The
+//! window on the I/O stage, `--workers` crypto threads (default:
+//! cores − 1) — on a loopback UDP socket while C load-generator
+//! clients pump pre-built `AuthReq` frames at it. The
 //! quantity under test is the cross-connection batch-verify fast path:
 //! at C=1 the client runs strict ping-pong (window 1), so every batch
 //! holds one request and verification is per-request; at higher C the
@@ -43,8 +43,11 @@ use cellbricks_core::broker_server::{
     self, build_requests, population, run_client, run_client_tcp, send_report_tcp, ClientConfig,
     Population, ServeConfig,
 };
+use cellbricks_core::brokerd::BrokerWire;
+use cellbricks_net::wire::read_frame;
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -195,9 +198,19 @@ fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
     });
 
     // 32 KiB sealed report — 4x the UDP per-datagram receive buffer.
+    // It draws no reply; one reader thread keeps a connection's frames
+    // in order, so the answer to a request sent after it on the same
+    // connection proves the report was handled.
     let report_len = 32 * 1024;
     let mut reporter = TcpStream::connect(addr).expect("connect reporter");
     send_report_tcp(&mut reporter, 1, &vec![0x5a_u8; report_len]).expect("report");
+    let probe = build_requests(pop, &[0], 1, &mut SimRng::new(seed ^ 0x7cc1));
+    reporter.write_all(&probe[0]).expect("probe request");
+    let answer = read_frame(&mut reporter).expect("probe reply");
+    assert!(
+        matches!(BrokerWire::decode(&answer), Some(BrokerWire::AuthOk { .. })),
+        "tcp: the request behind the report must be served"
+    );
 
     let clients = 2usize;
     let runners: Vec<_> = (0..clients)
@@ -226,12 +239,6 @@ fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
         let o = r.join().expect("tcp client thread");
         assert_eq!(o.lost, 0, "tcp: every request must be answered");
         served += o.ok + o.refused;
-    }
-    // The report draws no reply; wait for its frame to be counted
-    // before stopping the server.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while telemetry::counter("brokerd.wire_reports").get() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
     }
     stop.store(true, Ordering::Relaxed);
     let server = handle.join().expect("tcp server thread");

@@ -1,13 +1,14 @@
-//! `brokerd` as a real wire service: the reusable server core behind the
+//! `brokerd` as a real wire service: the reusable server behind the
 //! `brokerd` daemon binary.
 //!
 //! The paper's central deployment claim (§3, §5) is that the broker
 //! "needs no cellular infrastructure" — it is an ordinary online service
 //! behind a socket, deployed like Magma's Orc8r in the cloud, and it
 //! scales like one: across cores first, then across machines. This
-//! module is that service in miniature, structured as a **staged
-//! pipeline** so the crypto bill spreads over a pool of worker threads
-//! while the protocol semantics stay strictly sequential:
+//! module is the socket adapter over the broker core
+//! ([`crate::broker_core`]), structured as a **staged pipeline** so the
+//! crypto bill spreads over a pool of worker threads while the protocol
+//! semantics stay strictly sequential:
 //!
 //! * **I/O stage** ([`serve`] over UDP, [`serve_tcp`] over TCP): drain
 //!   the transport, frame + wire decode, and flush replies. Batch
@@ -18,50 +19,48 @@
 //!   reply-latency SLO — continuous-batching style, so the window widens
 //!   when the server is fast (buying bigger batches) and collapses when
 //!   service time already eats the SLO.
-//! * **Crypto workers** (a pool of W `std::thread`s inside
-//!   [`BrokerServer`], bounded channels, no tokio): the expensive,
-//!   *pure* phases — pooled [`open_batch`], cross-connection
-//!   [`verify_batch`], error attribution, and `broker_grant_batch`
-//!   sealing — run on contiguous sub-batches, scattered chunk-per-worker
-//!   and gathered back in arrival order.
-//! * **Decision stage** (sequential, on the caller's thread): anti-replay
-//!   nonce admission, session-id allocation, and all RNG draws happen in
-//!   arrival order between the two worker phases, so a replayed nonce
-//!   observes every earlier request of its own batch and replies are
-//!   byte-identical at any worker count (see below).
+//! * **Decision** ([`BrokerCore::decide`] over the whole batch): its pure
+//!   check and grant phases scatter over a pool of W `std::thread`
+//!   crypto workers (bounded channels, no tokio) in contiguous chunks
+//!   gathered back in arrival order; its decision phase — reputation
+//!   policy, anti-replay, session ids, RNG draws — runs sequentially on
+//!   the caller's thread. With W = 0 the same scatter runs inline.
 //!
-//! **Determinism.** Grant replies consume randomness only through
-//! [`sap::grant_draws`], which the decision stage runs sequentially in
-//! grant order; workers get pre-drawn material and do only pure curve
-//! math ([`sap::broker_grant_batch_prepared`]). Batch field inversions
-//! compute the same (value-unique) inverses under any sub-batching, and
-//! Ed25519 signing is deterministic — so W=1, W=4 and the inline path
-//! produce byte-identical replies, and every replay gate keeps passing.
+//! **Determinism.** Every grant draw happens sequentially before the
+//! grant phase scatters, batch field inversions compute the same
+//! (value-unique) inverses under any sub-batching, and Ed25519 signing is
+//! deterministic — so W=0, W=1 and W=4 produce byte-identical replies.
 //!
-//! What is and is not shared with the sim-side [`crate::brokerd::Brokerd`]
-//! is deliberate: the wire format ([`BrokerWire`]), the protocol core
-//! (`sap::broker_precheck`/`broker_grant`/`broker_authenticate_sequential`),
-//! the subscriber record shape and the bounded anti-replay window are the
-//! same code; the event-loop integration, billing/reputation state and
-//! fault injection remain sim-only. Traffic reports arriving on the wire
-//! are counted and dropped — billing ingest stays simulated (DESIGN §13).
+//! **What is and is not shared with the simulator's
+//! [`crate::brokerd::Brokerd`].** Shared, one implementation: the wire
+//! format ([`BrokerWire`]), the subscriber table and alias allocator, the
+//! anti-replay window, the session-id allocator, reputation policy, and
+//! the decision itself. A fresh wire server's reputation admits every
+//! bTelco and suspects no one; nothing on the wire feeds it. Wire-only:
+//! framing, the serve loops and the crypto pool. Sim-only: event timing,
+//! fault windows, and billing. Traffic reports arriving on the wire are
+//! counted and dropped, for a security reason: settlement marks a
+//! session's user suspect on any unverifiable UE report, and session ids
+//! are sequential, so on an open socket one forged datagram would let
+//! any peer deny service to any subscriber (DESIGN §13).
 
-use crate::brokerd::{BrokerWire, SubscriberRecord, NONCE_WINDOW_CAP};
+use crate::broker_core::{BrokerCore, BrokerState, Scatter};
+use crate::brokerd::BrokerWire;
 use crate::principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};
-use crate::sap::{self, AuthReqT, QosCap, SubscriberEntry};
+use crate::sap::{self, QosCap};
 use bytes::Bytes;
 use cellbricks_crypto::cert::CertificateAuthority;
-use cellbricks_crypto::ed25519::{verify_batch, BatchItem, VerifyingKey};
-use cellbricks_crypto::sealed::open_batch;
+use cellbricks_crypto::ed25519::VerifyingKey;
 use cellbricks_crypto::x25519::X25519PublicKey;
 use cellbricks_net::wire::{frame, read_frame, unframe, write_frame};
 use cellbricks_sim::SimRng;
 use cellbricks_telemetry as telemetry;
 use polling::Poller;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -83,8 +82,10 @@ pub struct BrokerServerConfig {
 }
 
 /// Plain mirrors of the server-loop telemetry, cheap to read in tests
-/// and printed by the daemon on shutdown. The telemetry registry carries
-/// the same values under `brokerd.*` / `core.brokerd.bad_frames`.
+/// and printed by the daemon on shutdown. Decisions are also counted in
+/// the telemetry registry as `core.brokerd.auth_granted`/`auth_rejected`
+/// (by the broker core, for both adapters), frames as
+/// `core.brokerd.bad_frames` and `brokerd.*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireCounters {
     /// Authorizations granted and answered with `AuthOk`.
@@ -94,7 +95,7 @@ pub struct WireCounters {
     /// Datagrams that failed framing or `BrokerWire` decoding.
     pub bad_frames: u64,
     /// Well-formed `Report` frames (counted, then dropped — billing
-    /// ingest stays sim-side).
+    /// settles only in the simulator).
     pub wire_reports: u64,
     /// Well-formed frames that are not requests (`AuthOk`/`AuthErr`
     /// arriving at the server).
@@ -103,73 +104,26 @@ pub struct WireCounters {
     pub batches: u64,
 }
 
-/// Pick the worker count: `CELLBRICKS_BROKERD_WORKERS` if set, else
-/// `available_parallelism - 1` (one core reserved for the I/O stage),
-/// clamped to 1..=8. On a single-core box this is 1 — the byte-identical
-/// baseline — so deterministic results never depend on the machine.
+/// Pick the worker count: `available_parallelism - 1` (one core reserved
+/// for the I/O stage), clamped to 1..=8. On a single-core box this is 1
+/// — the byte-identical baseline — so deterministic results never
+/// depend on the machine.
 #[must_use]
 pub fn default_workers() -> usize {
-    if let Some(w) = std::env::var("CELLBRICKS_BROKERD_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return w;
-    }
     std::thread::available_parallelism()
         .map(|p| p.get().saturating_sub(1).clamp(1, 8))
         .unwrap_or(1)
 }
 
-/// The transport-agnostic `brokerd` request processor: subscriber DB,
-/// bounded anti-replay window, session-id allocator, and the scatter /
-/// gather front of the crypto worker pool.
+/// The `brokerd` wire server: the broker core and its state, the crypto
+/// worker pool its pure phases scatter over, and the frame counters.
 pub struct BrokerServer {
-    cfg: Arc<BrokerServerConfig>,
-    subscribers: Arc<HashMap<Identity, SubscriberRecord>>,
-    seen_nonces: HashSet<[u8; 16]>,
-    nonce_order: VecDeque<[u8; 16]>,
-    next_session: u64,
-    next_alias: u64,
-    rng: SimRng,
-    pool: Option<CryptoPool>,
+    core: BrokerCore,
+    state: BrokerState,
+    pool: CryptoPool,
+    bad_frames: telemetry::Counter,
     /// Server-loop counters (also exported as telemetry).
     pub counters: WireCounters,
-    /// Scratch reused across batches: decoded requests awaiting verify.
-    pending: Vec<PendingAuth>,
-}
-
-/// One decoded `AuthReq` of the current batch, between decode and verify.
-struct PendingAuth {
-    slot: usize,
-    req_id: u64,
-    req: AuthReqT,
-}
-
-/// Verdict of the parallel check stage for one request: everything the
-/// sequential decision stage needs, minus the anti-replay call it must
-/// make itself in arrival order.
-enum Checked {
-    /// Signatures verified and policy passed; awaiting nonce admission.
-    Authorized(sap::AuthVec, SubscriberEntry),
-    /// Refused, with the exact [`sap::SapError`] code already attributed.
-    Refused(u8),
-}
-
-/// One authorized request between the decision stage and its grant.
-struct GrantItem {
-    idx: usize,
-    vec: sap::AuthVec,
-    entry: SubscriberEntry,
-    session_id: u64,
-}
-
-/// Owned grant work shipped to a crypto worker (the borrow-based
-/// [`sap::GrantJob`] is rebuilt worker-side).
-struct GrantWork {
-    req: AuthReqT,
-    vec: sap::AuthVec,
-    entry: SubscriberEntry,
-    session_id: u64,
 }
 
 /// Never split a batch below this many requests per chunk: tiny chunks
@@ -183,35 +137,19 @@ const MIN_CHUNK: usize = 4;
 /// misuse (flooding the pool without gathering) fail loudly by blocking.
 const POOL_QUEUE_BOUND: usize = 8;
 
-/// One granted request's output: the reply to seal onto the wire, the
-/// QoS the broker recorded, and the session secret.
-type GrantOut = (sap::BrokerReply, sap::QosInfo, [u8; 32]);
-
-enum PoolJob {
-    Check {
-        cfg: Arc<BrokerServerConfig>,
-        subs: Arc<HashMap<Identity, SubscriberRecord>>,
-        reqs: Vec<AuthReqT>,
-        chunk: usize,
-        tx: mpsc::Sender<(usize, Vec<Checked>)>,
-    },
-    Grant {
-        cfg: Arc<BrokerServerConfig>,
-        work: Vec<GrantWork>,
-        draws: Vec<sap::GrantDraws>,
-        chunk: usize,
-        tx: mpsc::Sender<(usize, Vec<GrantOut>)>,
-    },
-}
+/// One chunk of a scatter, run to completion on a worker.
+type PoolJob = Box<dyn FnOnce() + Send>;
 
 /// The crypto worker pool: W persistent threads, one bounded job channel
 /// each. Chunk i of a scatter goes to worker i, results are gathered by
-/// chunk index — arrival order is preserved by construction.
+/// chunk index — arrival order is preserved by construction. W = 0 runs
+/// every scatter inline on the calling thread.
 struct CryptoPool {
     txs: Vec<mpsc::SyncSender<PoolJob>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     busy_ns: Vec<Arc<AtomicU64>>,
     util_gauges: Vec<telemetry::Gauge>,
+    queue_depth: telemetry::Histogram,
     queued: Arc<AtomicUsize>,
     started: Instant,
 }
@@ -243,6 +181,7 @@ impl CryptoPool {
             handles,
             busy_ns,
             util_gauges,
+            queue_depth: telemetry::histogram("brokerd.queue_depth"),
             queued,
             started: Instant::now(),
         }
@@ -260,11 +199,47 @@ impl CryptoPool {
             .map(|b| b.load(Ordering::Relaxed) * 1000 / wall)
             .collect()
     }
+}
 
-    fn publish_util(&self) {
+impl Scatter for CryptoPool {
+    /// Contiguous chunks of `ceil(n/W)` (at least [`MIN_CHUNK`]), chunk i
+    /// to worker i, gathered back by chunk index.
+    fn scatter<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(Range<usize>) -> Vec<R> + Send + Sync + 'static,
+    {
+        let w = self.workers();
+        if w == 0 {
+            return f(0..n);
+        }
+        let f = Arc::new(f);
+        let chunk_len = n.div_ceil(w).max(MIN_CHUNK);
+        let (tx, rx) = mpsc::channel();
+        let mut sent = 0usize;
+        for start in (0..n).step_by(chunk_len) {
+            let (chunk, range) = (sent, start..n.min(start + chunk_len));
+            let (f, tx) = (Arc::clone(&f), tx.clone());
+            self.queued.fetch_add(1, Ordering::Relaxed);
+            self.txs[chunk % w]
+                .send(Box::new(move || {
+                    let _ = tx.send((chunk, f(range)));
+                }))
+                .expect("crypto worker alive");
+            sent += 1;
+        }
+        drop(tx);
+        self.queue_depth
+            .record(self.queued.load(Ordering::Relaxed) as u64);
+        let mut parts: Vec<Vec<R>> = (0..sent).map(|_| Vec::new()).collect();
+        for _ in 0..sent {
+            let (chunk, out) = rx.recv().expect("crypto worker reply");
+            parts[chunk] = out;
+        }
         for (util, gauge) in self.utilization_permille().iter().zip(&self.util_gauges) {
             gauge.set(*util as i64);
         }
+        parts.into_iter().flatten().collect()
     }
 }
 
@@ -281,147 +256,15 @@ impl Drop for CryptoPool {
 fn crypto_worker(rx: &mpsc::Receiver<PoolJob>, busy: &AtomicU64, queued: &AtomicUsize) {
     while let Ok(job) = rx.recv() {
         let t0 = Instant::now();
-        match job {
-            PoolJob::Check {
-                cfg,
-                subs,
-                reqs,
-                chunk,
-                tx,
-            } => {
-                let out = check_chunk(&cfg, &subs, &reqs);
-                let _ = tx.send((chunk, out));
-            }
-            PoolJob::Grant {
-                cfg,
-                work,
-                draws,
-                chunk,
-                tx,
-            } => {
-                let jobs: Vec<sap::GrantJob<'_>> = work
-                    .iter()
-                    .map(|g| sap::GrantJob {
-                        req: &g.req,
-                        vec: &g.vec,
-                        entry: &g.entry,
-                        session_id: g.session_id,
-                    })
-                    .collect();
-                let out = sap::broker_grant_batch_prepared(&cfg.keys, &jobs, &draws);
-                let _ = tx.send((chunk, out));
-            }
-        }
+        job();
         busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         queued.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-fn lookup_in(subs: &HashMap<Identity, SubscriberRecord>, id: Identity) -> Option<SubscriberEntry> {
-    subs.get(&id).map(|rec| SubscriberEntry {
-        sign_pk: rec.sign_pk,
-        encrypt_pk: rec.encrypt_pk,
-        plan_mbr_bps: rec.plan_mbr_bps,
-        suspect: false,
-        alias: rec.alias,
-        lawful_intercept: false,
-    })
-}
-
-/// Exact error attribution via the seed-order sequential checks — the
-/// same path the simulated broker falls back to. Pure with respect to
-/// server state, so it runs inside worker chunks.
-fn attribute_failure(
-    cfg: &BrokerServerConfig,
-    subs: &HashMap<Identity, SubscriberRecord>,
-    req: &AuthReqT,
-) -> u8 {
-    match sap::broker_authenticate_sequential(
-        &cfg.keys,
-        &cfg.ca,
-        req,
-        &|id| lookup_in(subs, id),
-        &|_| true,
-    ) {
-        // Unreachable in practice (precheck/verify failed), but if the
-        // sequential path accepts, refusing would be wrong — report the
-        // one error that cannot mint a session here.
-        Ok(_) => sap::SapError::PolicyRefused as u8,
-        Err(e) => e as u8,
-    }
-}
-
-/// The pure check stage over one chunk of decoded requests: structural /
-/// policy prechecks with the expensive unseals pooled into one
-/// [`open_batch`], then one pooled [`verify_batch`] spanning the chunk,
-/// with per-request fallback and exact attribution on failure. No server
-/// state is read or written — chunks from the same batch can run on any
-/// threads in any order and gather to the same verdicts.
-fn check_chunk<T: std::borrow::Borrow<AuthReqT>>(
-    cfg: &BrokerServerConfig,
-    subs: &HashMap<Identity, SubscriberRecord>,
-    reqs: &[T],
-) -> Vec<Checked> {
-    let pre: Vec<Option<Identity>> = reqs
-        .iter()
-        .map(|r| sap::broker_precheck_pre_open(&cfg.keys, r.borrow()))
-        .collect();
-    let boxes: Vec<&cellbricks_crypto::SealedBox> = reqs
-        .iter()
-        .zip(&pre)
-        .filter(|(_, id_t)| id_t.is_some())
-        .map(|(r, _)| &r.borrow().req_u.sealed_vec)
-        .collect();
-    let mut opened = open_batch(&cfg.keys.encrypt, &boxes).into_iter();
-    let self_id = cfg.keys.identity();
-    let prechecked: Vec<Option<(sap::AuthVec, SubscriberEntry, sap::AuthBatchMaterial)>> = reqs
-        .iter()
-        .zip(&pre)
-        .map(|(r, pre_id)| {
-            let id_t = (*pre_id)?;
-            let vec_bytes = opened.next().expect("one open per precheck").ok()?;
-            sap::broker_precheck_post_open(
-                self_id,
-                &cfg.ca,
-                r.borrow(),
-                id_t,
-                &vec_bytes,
-                &|id| lookup_in(subs, id),
-                &|_| true,
-            )
-        })
-        .collect();
-
-    // One pooled verify across the whole chunk; a failed pool degrades
-    // per-request (batch-of-3, then sequential attribution), preserving
-    // exact error codes.
-    let pooled_ok = {
-        let items: Vec<BatchItem<'_>> = prechecked
-            .iter()
-            .flatten()
-            .flat_map(|(_, _, material)| material.items())
-            .collect();
-        verify_batch(&items)
-    };
-    reqs.iter()
-        .zip(prechecked)
-        .map(|(r, checked)| match checked {
-            Some((vec, entry, material)) => {
-                if pooled_ok || verify_batch(&material.items()) {
-                    Checked::Authorized(vec, entry)
-                } else {
-                    Checked::Refused(attribute_failure(cfg, subs, r.borrow()))
-                }
-            }
-            None => Checked::Refused(attribute_failure(cfg, subs, r.borrow())),
-        })
-        .collect()
-}
-
 impl BrokerServer {
     /// A fresh server with an empty subscriber DB and no worker pool:
-    /// every phase runs inline on the calling thread (the PR 9 shape,
-    /// still the simplest thing to unit-test against).
+    /// every phase runs inline on the calling thread.
     #[must_use]
     pub fn new(cfg: BrokerServerConfig, rng: SimRng) -> Self {
         Self::with_workers(cfg, rng, 0)
@@ -433,32 +276,25 @@ impl BrokerServer {
     #[must_use]
     pub fn with_workers(cfg: BrokerServerConfig, rng: SimRng, workers: usize) -> Self {
         Self {
-            cfg: Arc::new(cfg),
-            subscribers: Arc::new(HashMap::new()),
-            seen_nonces: HashSet::new(),
-            nonce_order: VecDeque::new(),
-            next_session: 1,
-            next_alias: 1,
-            rng,
-            pool: (workers > 0).then(|| CryptoPool::new(workers)),
+            core: BrokerCore::new(cfg.keys, cfg.ca, rng),
+            state: BrokerState::new(1),
+            pool: CryptoPool::new(workers),
+            bad_frames: telemetry::counter("core.brokerd.bad_frames"),
             counters: WireCounters::default(),
-            pending: Vec::new(),
         }
     }
 
     /// Number of crypto workers (0 = inline processing).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, CryptoPool::workers)
+        self.pool.workers()
     }
 
     /// Busy-share of each crypto worker since startup, in permille of
     /// wall time. Empty for an inline server.
     #[must_use]
     pub fn worker_utilization_permille(&self) -> Vec<u64> {
-        self.pool
-            .as_ref()
-            .map_or_else(Vec::new, CryptoPool::utilization_permille)
+        self.pool.utilization_permille()
     }
 
     /// Provision a subscriber (same contract as the simulated broker).
@@ -469,187 +305,45 @@ impl BrokerServer {
         encrypt_pk: X25519PublicKey,
         plan_mbr_bps: u64,
     ) {
-        let alias = self.next_alias;
-        self.next_alias += 1;
-        Arc::make_mut(&mut self.subscribers).insert(
-            id,
-            SubscriberRecord {
-                sign_pk,
-                encrypt_pk,
-                plan_mbr_bps,
-                alias,
-            },
-        );
+        self.state.provision(id, sign_pk, encrypt_pk, plan_mbr_bps);
     }
 
     /// Number of provisioned subscribers.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
+        self.state.subscriber_count()
     }
 
-    /// Record a nonce; `false` means replay. FIFO-bounded exactly like
-    /// the simulated broker's window ([`NONCE_WINDOW_CAP`]).
-    fn insert_nonce(&mut self, nonce: [u8; 16]) -> bool {
-        if !self.seen_nonces.insert(nonce) {
-            return false;
-        }
-        self.nonce_order.push_back(nonce);
-        if self.nonce_order.len() > NONCE_WINDOW_CAP {
-            if let Some(oldest) = self.nonce_order.pop_front() {
-                self.seen_nonces.remove(&oldest);
-            }
-        }
-        true
+    /// The authorization state the broker core decides against.
+    pub fn state_mut(&mut self) -> &mut BrokerState {
+        &mut self.state
     }
 
     fn bad_frame(&mut self) {
         self.counters.bad_frames += 1;
-        telemetry::counter("core.brokerd.bad_frames").inc();
-    }
-
-    /// The check stage: inline for a pool-less server, otherwise
-    /// scattered in contiguous chunks (chunk i → worker i) and gathered
-    /// back by chunk index, i.e. in arrival order.
-    fn run_checks(&self, pending: &[PendingAuth]) -> Vec<Checked> {
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            let reqs: Vec<&AuthReqT> = pending.iter().map(|p| &p.req).collect();
-            return check_chunk(&self.cfg, &self.subscribers, &reqs);
-        };
-        let w = pool.workers();
-        let chunk_len = pending.len().div_ceil(w).max(MIN_CHUNK);
-        let (tx, rx) = mpsc::channel();
-        let mut sent = 0usize;
-        for (ci, slice) in pending.chunks(chunk_len).enumerate() {
-            pool.queued.fetch_add(1, Ordering::Relaxed);
-            pool.txs[ci % w]
-                .send(PoolJob::Check {
-                    cfg: Arc::clone(&self.cfg),
-                    subs: Arc::clone(&self.subscribers),
-                    reqs: slice.iter().map(|p| p.req.clone()).collect(),
-                    chunk: ci,
-                    tx: tx.clone(),
-                })
-                .expect("crypto worker alive");
-            sent += 1;
-        }
-        drop(tx);
-        telemetry::histogram("brokerd.queue_depth")
-            .record(pool.queued.load(Ordering::Relaxed) as u64);
-        let mut parts: Vec<Vec<Checked>> = (0..sent).map(|_| Vec::new()).collect();
-        for _ in 0..sent {
-            let (ci, out) = rx.recv().expect("crypto worker reply");
-            parts[ci] = out;
-        }
-        pool.publish_util();
-        parts.into_iter().flatten().collect()
-    }
-
-    /// The grant stage against pre-drawn RNG material: inline without a
-    /// pool, scattered/gathered with one. Each chunk pools its own seal
-    /// and signature inversions; the result is byte-identical to one big
-    /// [`sap::broker_grant_batch`] under the same rng.
-    fn run_grants(
-        &self,
-        pending: &[PendingAuth],
-        granted: Vec<GrantItem>,
-        draws: Vec<sap::GrantDraws>,
-    ) -> Vec<GrantOut> {
-        if granted.is_empty() {
-            return Vec::new();
-        }
-        let Some(pool) = &self.pool else {
-            let jobs: Vec<sap::GrantJob<'_>> = granted
-                .iter()
-                .map(|g| sap::GrantJob {
-                    req: &pending[g.idx].req,
-                    vec: &g.vec,
-                    entry: &g.entry,
-                    session_id: g.session_id,
-                })
-                .collect();
-            return sap::broker_grant_batch_prepared(&self.cfg.keys, &jobs, &draws);
-        };
-        let w = pool.workers();
-        let chunk_len = granted.len().div_ceil(w).max(MIN_CHUNK);
-        let (tx, rx) = mpsc::channel();
-        let mut items = granted.into_iter().zip(draws);
-        let mut sent = 0usize;
-        loop {
-            let pairs: Vec<_> = items.by_ref().take(chunk_len).collect();
-            if pairs.is_empty() {
-                break;
-            }
-            let mut work = Vec::with_capacity(pairs.len());
-            let mut chunk_draws = Vec::with_capacity(pairs.len());
-            for (g, d) in pairs {
-                work.push(GrantWork {
-                    req: pending[g.idx].req.clone(),
-                    vec: g.vec,
-                    entry: g.entry,
-                    session_id: g.session_id,
-                });
-                chunk_draws.push(d);
-            }
-            pool.queued.fetch_add(1, Ordering::Relaxed);
-            pool.txs[sent % w]
-                .send(PoolJob::Grant {
-                    cfg: Arc::clone(&self.cfg),
-                    work,
-                    draws: chunk_draws,
-                    chunk: sent,
-                    tx: tx.clone(),
-                })
-                .expect("crypto worker alive");
-            sent += 1;
-        }
-        drop(tx);
-        telemetry::histogram("brokerd.queue_depth")
-            .record(pool.queued.load(Ordering::Relaxed) as u64);
-        let mut parts: Vec<Vec<_>> = (0..sent).map(|_| Vec::new()).collect();
-        for _ in 0..sent {
-            let (ci, out) = rx.recv().expect("crypto worker reply");
-            parts[ci] = out;
-        }
-        parts.into_iter().flatten().collect()
+        self.bad_frames.inc();
     }
 
     /// Process one readiness batch of raw datagrams. Each entry is
     /// `(client slot, datagram bytes)`; replies are appended to `out` as
-    /// `(client slot, framed reply bytes)` for the caller's flush pass.
+    /// `(client slot, framed reply bytes)`, in arrival order, for the
+    /// caller's flush pass.
     ///
-    /// Pipeline phases: decode (sequential) → check (workers: pooled
-    /// open + cross-connection verify + attribution) → decide
-    /// (sequential: anti-replay in arrival order, session ids, RNG
-    /// draws) → grant (workers: pooled seal + sign) → emit (sequential,
-    /// arrival order). The call is synchronous — when it returns, every
-    /// reply for the batch is in `out`, which is what makes shutdown
-    /// drain-safe by construction.
+    /// Frame and wire decode happen here; every `AuthReq` of the batch
+    /// then goes through one [`BrokerCore::decide`] whose pure phases
+    /// scatter over the worker pool. The call is synchronous — when it
+    /// returns, every reply for the batch is in `out`, which is what makes
+    /// shutdown drain-safe by construction.
     pub fn process_batch(&mut self, datagrams: &[(usize, &[u8])], out: &mut Vec<(usize, Vec<u8>)>) {
-        // Touch the error counter so it registers (at 0) in clean runs.
-        let _ = telemetry::counter("core.brokerd.bad_frames");
         self.counters.batches += 1;
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-
-        // Phase 1: frame + wire decode.
+        let mut reqs: Vec<(usize, u64, Bytes)> = Vec::new();
         for &(slot, dgram) in datagrams {
             let Ok(payload) = unframe(dgram) else {
                 self.bad_frame();
                 continue;
             };
             match BrokerWire::decode(payload) {
-                Some(BrokerWire::AuthReq { req_id, req_t }) => match AuthReqT::decode(&req_t) {
-                    Some(req) => pending.push(PendingAuth { slot, req_id, req }),
-                    None => {
-                        // Same code the simulated broker returns for an
-                        // undecodable authReqT.
-                        self.push_err(out, slot, req_id, sap::SapError::Malformed as u8);
-                    }
-                },
+                Some(BrokerWire::AuthReq { req_id, req_t }) => reqs.push((slot, req_id, req_t)),
                 Some(BrokerWire::Report { .. }) => {
                     self.counters.wire_reports += 1;
                     telemetry::counter("brokerd.wire_reports").inc();
@@ -661,75 +355,26 @@ impl BrokerServer {
                 None => self.bad_frame(),
             }
         }
-        telemetry::histogram("brokerd.batch_size").record(pending.len() as u64);
+        telemetry::histogram("brokerd.batch_size").record(reqs.len() as u64);
 
-        // Phase 2: the parallel check stage (prechecks, pooled open,
-        // cross-connection verify, attribution) — pure, so it scatters.
-        let checked = self.run_checks(&pending);
-
-        // Phase 3: decide each request in arrival order — nonce replay
-        // checks must observe earlier requests of the same batch — and
-        // stage the authorized grants.
-        enum Outcome {
-            Grant,
-            Refuse(u8),
-        }
-        let mut outcomes: Vec<(usize, u64, Outcome)> = Vec::with_capacity(pending.len());
-        let mut granted: Vec<GrantItem> = Vec::new();
-        for (i, (p, chk)) in pending.iter().zip(checked).enumerate() {
-            match chk {
-                Checked::Authorized(vec, entry) => {
-                    if self.insert_nonce(vec.nonce) {
-                        let session_id = self.next_session;
-                        self.next_session += 1;
-                        granted.push(GrantItem {
-                            idx: i,
-                            vec,
-                            entry,
-                            session_id,
-                        });
-                        outcomes.push((p.slot, p.req_id, Outcome::Grant));
-                    } else {
-                        let code = sap::SapError::NonceMismatch as u8;
-                        outcomes.push((p.slot, p.req_id, Outcome::Refuse(code)));
-                    }
+        let req_ts: Vec<&[u8]> = reqs.iter().map(|(_, _, req_t)| &req_t[..]).collect();
+        let decisions = self.core.decide(&mut self.state, &req_ts, &self.pool);
+        for ((slot, req_id, _), decision) in reqs.iter().zip(decisions) {
+            let (slot, req_id) = (*slot, *req_id);
+            let msg = match decision {
+                Ok(grant) => {
+                    self.counters.served_auths += 1;
+                    let reply = grant.reply.encode();
+                    BrokerWire::AuthOk { req_id, reply }
                 }
-                Checked::Refused(code) => {
-                    outcomes.push((p.slot, p.req_id, Outcome::Refuse(code)));
+                Err(e) => {
+                    self.counters.auth_errs += 1;
+                    let code = e as u8;
+                    BrokerWire::AuthErr { req_id, code }
                 }
-            }
+            };
+            out.push((slot, frame(&msg.encode())));
         }
-
-        // Phase 4: all RNG material is drawn here, sequentially, in
-        // grant order — workers then do only pure curve math, which is
-        // what keeps replies byte-identical at any worker count.
-        let draws = sap::grant_draws(&mut self.rng, granted.len());
-        let replies = self.run_grants(&pending, granted, draws);
-
-        // Phase 5: emit replies and refusals in arrival order.
-        let mut replies = replies.into_iter();
-        for (slot, req_id, outcome) in outcomes {
-            match outcome {
-                Outcome::Grant => {
-                    let (reply, _qos, _ss) = replies.next().expect("one reply per grant");
-                    self.push_ok(out, slot, req_id, reply.encode());
-                }
-                Outcome::Refuse(code) => self.push_err(out, slot, req_id, code),
-            }
-        }
-        self.pending = pending;
-    }
-
-    fn push_ok(&mut self, out: &mut Vec<(usize, Vec<u8>)>, slot: usize, req_id: u64, reply: Bytes) {
-        self.counters.served_auths += 1;
-        telemetry::counter("brokerd.served_auths").inc();
-        out.push((slot, frame(&BrokerWire::AuthOk { req_id, reply }.encode())));
-    }
-
-    fn push_err(&mut self, out: &mut Vec<(usize, Vec<u8>)>, slot: usize, req_id: u64, code: u8) {
-        self.counters.auth_errs += 1;
-        telemetry::counter("brokerd.auth_rejected").inc();
-        out.push((slot, frame(&BrokerWire::AuthErr { req_id, code }.encode())));
     }
 }
 
@@ -1585,7 +1230,17 @@ mod tests {
         send_report_tcp(&mut reporter, 1, &big).expect("report");
 
         let mut rng = SimRng::new(24);
-        let requests = build_requests(&pop, &[0, 1, 2, 3], 24, &mut rng);
+        let mut requests = build_requests(&pop, &[0, 1, 2, 3], 25, &mut rng);
+        // The report draws no reply. One reader thread keeps a
+        // connection's frames in order, so once a request sent after it
+        // on the same connection is answered, the report was handled.
+        let probe = requests.pop().expect("probe request");
+        reporter.write_all(&probe).expect("probe");
+        let answer = read_frame(&mut reporter).expect("probe reply");
+        assert!(matches!(
+            BrokerWire::decode(&answer),
+            Some(BrokerWire::AuthOk { .. })
+        ));
         let outcome = run_client_tcp(
             &ClientConfig {
                 server: addr,
@@ -1597,24 +1252,12 @@ mod tests {
             &requests,
         )
         .expect("tcp client");
-        // The report has no reply; give its frame time to land before
-        // stopping (it shares the server with the auth traffic).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            std::thread::sleep(Duration::from_millis(5));
-            if Instant::now() > deadline {
-                break;
-            }
-            if telemetry::counter("brokerd.wire_reports").get() > 0 {
-                break;
-            }
-        }
         stop.store(true, Ordering::Relaxed);
         let server = handle.join().expect("server thread");
         assert_eq!(outcome.lost, 0, "no request may go unanswered");
         assert_eq!(outcome.ok, 24, "fresh nonces all authorize over TCP");
         assert_eq!(server.counters.bad_frames, 0);
-        assert_eq!(server.counters.served_auths, 24);
+        assert_eq!(server.counters.served_auths, 25);
         assert_eq!(
             server.counters.wire_reports, 1,
             "the oversized-for-UDP report frame must arrive intact"

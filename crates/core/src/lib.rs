@@ -8,9 +8,11 @@
 //! * **Secure attachment (SAP, §4.1)** — [`sap`]: public-key mutual
 //!   authentication between UE, broker and bTelco in a single
 //!   UE→bTelco→broker round trip, with the UE identity sealed against
-//!   IMSI catchers. [`principal`] holds the key bundles; [`brokerd`] is
-//!   the broker service; [`btelco`] the bTelco gateway (reusing the EPC
-//!   bearer/pool/accounting substrate).
+//!   IMSI catchers. [`principal`] holds the key bundles; [`broker_core`]
+//!   is the broker's authorization state machine, driven by [`brokerd`]
+//!   in the simulator and [`broker_server`] on a real socket; [`btelco`]
+//!   is the bTelco gateway (reusing the EPC bearer/pool/accounting
+//!   substrate).
 //! * **Host-driven mobility (§4.2)** — [`ue::UeDevice`] detaches and
 //!   re-attaches across bTelcos on its own, letting MPTCP (in
 //!   `cellbricks-transport`) carry connections across the IP change.
@@ -28,6 +30,7 @@
 
 pub mod attach_bench;
 pub mod billing;
+pub mod broker_core;
 pub mod broker_plane;
 pub mod broker_server;
 pub mod brokerd;

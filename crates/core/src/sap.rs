@@ -22,12 +22,13 @@
 //!
 //! This module is pure protocol: message construction, verification and
 //! wire codecs. The endpoints live in [`crate::ue`], [`crate::btelco`]
-//! and [`crate::brokerd`].
+//! and [`crate::broker_core`] (driven by [`crate::brokerd`] and
+//! [`crate::broker_server`]).
 
 use crate::principal::{BrokerKeys, Identity, TelcoKeys, UeKeys};
 use bytes::Bytes;
 use cellbricks_crypto::cert::{Certificate, Role};
-use cellbricks_crypto::ed25519::{sign_batch, verify_batch, BatchItem, Signature, VerifyingKey};
+use cellbricks_crypto::ed25519::{sign_batch, BatchItem, Signature, VerifyingKey};
 use cellbricks_crypto::sealed::{open, seal, seal_begin_with, seal_finish_batch, SealedBox};
 use cellbricks_crypto::x25519::{X25519PublicKey, X25519SecretKey};
 use cellbricks_epc::wire::{Reader, Writer};
@@ -443,48 +444,12 @@ pub struct SubscriberEntry {
     pub lawful_intercept: bool,
 }
 
-/// Step 3 (broker): authenticate U and T, authorize, and build the reply
-/// (Fig. 3, bottom). `lookup` resolves a UE identity from the subscriber
-/// database; `telco_ok` is the reputation-system admission decision.
-///
-/// The three Ed25519 checks — the CA's signature on the bTelco
-/// certificate, the bTelco's signature on `authReqT`, and the UE's
-/// signature on the sealed `authVec` — are folded into a single batch
-/// verification ([`verify_batch`]) on the optimistic path. If anything
-/// at all fails (a bad signature, but also any structural or policy
-/// check), the request is re-run through the sequential seed-order
-/// checks so the returned [`SapError`] is exactly the one the
-/// unbatched implementation produced. Neither path consumes simulation
-/// RNG before the accept decision, so event streams are unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn broker_process(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: impl Fn(Identity) -> bool,
-    session_id: u64,
-    rng: &mut SimRng,
-) -> Result<(BrokerReply, AuthVec, QosInfo, [u8; 32]), SapError> {
-    let (vec, entry) = match broker_authenticate_batched(keys, ca, req, &lookup, &telco_ok) {
-        Some(ok) => ok,
-        None => broker_authenticate_sequential(keys, ca, req, &lookup, &telco_ok)?,
-    };
-    let (reply, qos, ss) = broker_grant(keys, req, &vec, &entry, session_id, rng);
-    Ok((reply, vec, qos, ss))
-}
-
-/// Step 3, second half: the request is authenticated and authorized —
-/// pick QoS, mint the shared secret, seal and sign both sub-responses.
-/// This is the only part of broker processing that consumes RNG, and it
-/// consumes it in exactly the order the combined [`broker_process`]
-/// always did, so splitting it out cannot perturb seeded event streams.
-///
-/// Exposed separately so the `brokerd` wire server can verify a whole
-/// readiness batch of requests first (one cross-connection Ed25519
-/// batch) and only then grant each one.
-#[must_use]
-pub fn broker_grant(
+/// Step 3, second half, one request at a time: pick QoS, mint the shared
+/// secret, seal and sign both sub-responses. The test oracle for
+/// [`broker_grant_batch`], which must stay byte-identical to it under the
+/// same rng; the broker itself only grants through the batch forms.
+#[cfg(test)]
+fn broker_grant(
     keys: &BrokerKeys,
     req: &AuthReqT,
     vec: &AuthVec,
@@ -559,11 +524,10 @@ pub struct GrantJob<'a> {
     pub session_id: u64,
 }
 
-/// The random material one [`broker_grant`] consumes, pre-drawn so the
-/// grant's curve work can run on any thread (or several) while the
-/// draws themselves stay a single sequential stream on the coordinator.
-/// Draw order per job is exactly [`broker_grant`]'s: shared secret,
-/// ephemeral-T, ephemeral-U.
+/// The random material one grant consumes, pre-drawn so the grant's
+/// curve work can run on any thread (or several) while the draws
+/// themselves stay a single sequential stream on the coordinator. Draw
+/// order per job: shared secret, ephemeral-T, ephemeral-U.
 pub struct GrantDraws {
     ss: [u8; 32],
     eph_t: X25519SecretKey,
@@ -571,9 +535,9 @@ pub struct GrantDraws {
 }
 
 /// Pre-draw the RNG material for `n` grants, in exactly the order
-/// [`broker_grant_batch`] (and per-request [`broker_grant`]) consumes
-/// it — so `grant_draws` + [`broker_grant_batch_prepared`] is
-/// stream-identical and byte-identical to the eager forms.
+/// [`broker_grant_batch`] consumes it — so `grant_draws` +
+/// [`broker_grant_batch_prepared`] is stream-identical and
+/// byte-identical to the eager form.
 #[must_use]
 pub fn grant_draws(rng: &mut SimRng, n: usize) -> Vec<GrantDraws> {
     (0..n)
@@ -585,16 +549,16 @@ pub fn grant_draws(rng: &mut SimRng, n: usize) -> Vec<GrantDraws> {
         .collect()
 }
 
-/// [`broker_grant`] over a whole readiness batch, pooling the expensive
-/// field inversions: the four per-request seal inversions collapse into
-/// one shared inversion for the batch (`seal_finish_batch`), and the two
-/// per-request signature compressions into another (`sign_batch`).
+/// Step 3, second half, over a batch of authenticated requests: pick
+/// QoS, mint each shared secret, seal and sign both sub-responses,
+/// pooling the expensive field inversions — the four per-request seal
+/// inversions collapse into one shared inversion for the batch
+/// (`seal_finish_batch`), and the two per-request signature compressions
+/// into another (`sign_batch`).
 ///
-/// Per request, RNG is consumed in exactly the order [`broker_grant`]
-/// consumes it (ss, ephemeral-T, ephemeral-U) and jobs are staged in
-/// slice order, so with the same rng this returns byte-identical replies
-/// to granting each job sequentially — the wire server's batched path
-/// and the simulator's sequential path cannot diverge.
+/// Per request, RNG is consumed in a fixed order (ss, ephemeral-T,
+/// ephemeral-U) and jobs are staged in slice order, so with the same rng
+/// this returns byte-identical replies to granting each job on its own.
 #[must_use]
 pub fn broker_grant_batch(
     keys: &BrokerKeys,
@@ -703,7 +667,8 @@ pub fn broker_grant_batch_prepared(
 /// three Ed25519 checks: CA over the bTelco certificate, bTelco over
 /// `authReqT`, UE over the sealed `authVec`. Owning the buffers lets a
 /// server pool the material of many requests — from different
-/// connections — into one [`verify_batch`] call.
+/// connections — into one
+/// [`verify_batch`](cellbricks_crypto::ed25519::verify_batch) call.
 pub struct AuthBatchMaterial {
     cert_tbs: Vec<u8>,
     signed: Bytes,
@@ -740,33 +705,11 @@ impl AuthBatchMaterial {
     }
 }
 
-/// Step 3, first half: every check on an `authReqT` that does *not*
-/// involve a signature — certificate role/expiry, broker addressing,
-/// unsealing the `authVec`, subscriber lookup, and admission policy.
-/// `None` means something failed; the caller owning error attribution
-/// re-runs [`broker_authenticate_sequential`] via [`broker_process`] (or
-/// directly) to name the failure.
-///
-/// On success, returns the decoded `authVec`, the subscriber entry, and
-/// the [`AuthBatchMaterial`] whose three signatures still must verify —
-/// either alone ([`broker_process`]'s per-request batch) or pooled
-/// across many requests by the wire server.
-pub fn broker_precheck(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: &impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: &impl Fn(Identity) -> bool,
-) -> Option<(AuthVec, SubscriberEntry, AuthBatchMaterial)> {
-    let id_t = broker_precheck_pre_open(keys, req)?;
-    let vec_bytes = open(&keys.encrypt, &req.req_u.sealed_vec).ok()?;
-    broker_precheck_post_open(keys.identity(), ca, req, id_t, &vec_bytes, lookup, telco_ok)
-}
-
-/// The [`broker_precheck`] checks that precede unsealing the `authVec`:
-/// certificate role/expiry and broker addressing. Split out so a wire
-/// server can run the expensive `open`s of a whole readiness batch as
-/// one [`open_batch`] between the two precheck halves.
+/// Step 3, first half, before unsealing: the signature-free checks on
+/// the bTelco certificate (role, expiry) and broker addressing. `None`
+/// means something failed; [`broker_authenticate_sequential`] names it.
+/// Split from [`broker_precheck_post_open`] so a broker can run the
+/// expensive unseals of a whole batch as one `open_batch` in between.
 pub fn broker_precheck_pre_open(keys: &BrokerKeys, req: &AuthReqT) -> Option<Identity> {
     req.t_cert.check_role_and_expiry(Role::BTelco, 0).ok()?;
     if req.req_u.broker_name != keys.name {
@@ -775,10 +718,12 @@ pub fn broker_precheck_pre_open(keys: &BrokerKeys, req: &AuthReqT) -> Option<Ide
     Some(Identity::of_name(&req.t_cert.subject))
 }
 
-/// The [`broker_precheck`] checks that follow unsealing: `authVec`
-/// decode, identity binding, subscriber lookup, admission policy, and
-/// assembling the signature material. `self_id` is the broker's own
-/// identity (`keys.identity()`); `id_t` is what
+/// Step 3, first half, after unsealing: `authVec` decode, identity
+/// binding, subscriber lookup, admission policy, and assembling the
+/// [`AuthBatchMaterial`] whose three signatures still must verify —
+/// pooled across many requests in one
+/// [`verify_batch`](cellbricks_crypto::ed25519::verify_batch). `self_id`
+/// is the broker's own identity (`keys.identity()`); `id_t` is what
 /// [`broker_precheck_pre_open`] returned.
 #[allow(clippy::too_many_arguments)]
 pub fn broker_precheck_post_open(
@@ -815,26 +760,11 @@ pub fn broker_precheck_post_open(
     Some((vec, entry, material))
 }
 
-/// The optimistic attach path: run every cheap structural and policy
-/// check first, then all three signatures as one Ed25519 batch. `None`
-/// means "anything failed" — the caller falls back to
-/// [`broker_authenticate_sequential`], which owns error attribution.
-fn broker_authenticate_batched(
-    keys: &BrokerKeys,
-    ca: &VerifyingKey,
-    req: &AuthReqT,
-    lookup: &impl Fn(Identity) -> Option<SubscriberEntry>,
-    telco_ok: &impl Fn(Identity) -> bool,
-) -> Option<(AuthVec, SubscriberEntry)> {
-    let (vec, entry, material) = broker_precheck(keys, ca, req, lookup, telco_ok)?;
-    verify_batch(&material.items()).then_some((vec, entry))
-}
-
 /// The seed-order checks, one at a time, attributing the first failure.
 /// Signature checks go through the verifier-key cache (result-identical
-/// to uncached verification). Public because the `brokerd` wire server's
-/// fallback path needs the same exact error attribution after a pooled
-/// batch check fails.
+/// to uncached verification). The broker core falls back to these after
+/// a pooled check fails, so every refusal names exactly the check the
+/// sequential order reaches first.
 ///
 /// # Errors
 /// The [`SapError`] naming the first check that failed, in the exact
@@ -967,6 +897,8 @@ pub fn ue_verify_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::billing::CycleVerdict;
+    use crate::broker_core::{BrokerCore, BrokerState, Grant, Inline};
     use cellbricks_crypto::cert::CertificateAuthority;
 
     struct World {
@@ -1066,6 +998,46 @@ mod tests {
         }
     }
 
+    /// `ue` asks for bTelco `id_t`; `telco` forwards the request.
+    fn request_via(
+        w: &mut World,
+        ue: &UeKeys,
+        id_t: Identity,
+        telco: &TelcoKeys,
+        cap: QosCap,
+    ) -> AuthReqT {
+        let (req_u, _) = ue_build_request(
+            ue,
+            "broker.example",
+            &w.broker.encrypt.public_key(),
+            id_t,
+            &mut w.rng,
+        );
+        telco_wrap_request(telco, req_u, cap)
+    }
+
+    /// The world's UE asks its own bTelco.
+    fn request(w: &mut World) -> AuthReqT {
+        let (ue, telco) = (w.ue.clone(), w.telco.clone());
+        request_via(w, &ue, telco.identity(), &telco, qos_cap())
+    }
+
+    /// The broker core's n = 1 decision on `req_t`, against a state with
+    /// the world's UE provisioned and then adjusted by `policy`.
+    fn authorize(
+        w: &mut World,
+        req_t: &AuthReqT,
+        policy: impl FnOnce(&mut BrokerState),
+    ) -> Result<Grant, SapError> {
+        let mut state = BrokerState::new(1234);
+        let (sign_pk, encrypt_pk) = w.ue.public();
+        state.provision(w.ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+        policy(&mut state);
+        let mut core = BrokerCore::new(w.broker.clone(), w.ca.public_key(), w.rng.fork());
+        core.decide(&mut state, &[req_t.encode()], &Inline)
+            .remove(0)
+    }
+
     /// Run the whole protocol happy path; returns (ue body, telco body).
     fn run_protocol(w: &mut World) -> (RespUBody, RespTBody) {
         let id_t = w.telco.identity();
@@ -1081,29 +1053,11 @@ mod tests {
         let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
         let req_t = AuthReqT::decode(&req_t.encode()).unwrap();
 
-        let entry = entry_for(w);
-        let (reply, vec, _qos, ss) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |id| {
-                (id == w.ue.identity()).then_some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: entry.suspect,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1234,
-            &mut w.rng,
-        )
-        .expect("broker authorizes");
-        assert_eq!(vec.id_u, w.ue.identity());
+        let grant = authorize(w, &req_t, |_| {}).expect("broker authorizes");
+        assert_eq!(grant.vec.id_u, w.ue.identity());
+        assert_eq!(grant.session_id, 1234);
 
-        let reply = BrokerReply::decode(&reply.encode()).unwrap();
+        let reply = BrokerReply::decode(&grant.reply.encode()).unwrap();
         let t_body = telco_verify_reply(&w.telco, &w.ca.public_key(), &reply).expect("telco ok");
         let u_body = ue_verify_response(
             &w.ue,
@@ -1113,7 +1067,7 @@ mod tests {
             &reply.resp_u,
         )
         .expect("ue ok");
-        assert_eq!(t_body.ss, ss);
+        assert_eq!(t_body.qos, grant.qos);
         (u_body, t_body)
     }
 
@@ -1152,166 +1106,54 @@ mod tests {
         let mut w = world();
         let rogue_ca = CertificateAuthority::from_seed([0xBB; 32]);
         let rogue = TelcoKeys::generate("tower-1.example", &rogue_ca, &mut w.rng);
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            rogue.identity(),
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&rogue, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::BadTelcoCert);
+        let ue = w.ue.clone();
+        let req_t = request_via(&mut w, &ue, rogue.identity(), &rogue, qos_cap());
+        let err = authorize(&mut w, &req_t, |_| {}).err();
+        assert_eq!(err, Some(SapError::BadTelcoCert));
     }
 
     #[test]
     fn tampered_qos_cap_rejected() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let mut req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
+        let mut req_t = request(&mut w);
         req_t.qos_cap.max_mbr_bps = 1; // Tamper after signing.
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::BadTelcoSig);
+        let err = authorize(&mut w, &req_t, |_| {}).err();
+        assert_eq!(err, Some(SapError::BadTelcoSig));
     }
 
     #[test]
     fn unknown_user_rejected() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| None,
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::UnknownUser);
+        let stranger = UeKeys::generate(&mut w.rng);
+        let telco = w.telco.clone();
+        let req_t = request_via(&mut w, &stranger, telco.identity(), &telco, qos_cap());
+        let err = authorize(&mut w, &req_t, |_| {}).err();
+        assert_eq!(err, Some(SapError::UnknownUser));
     }
 
     #[test]
     fn suspect_user_refused() {
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: true,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::PolicyRefused);
+        let req_t = request(&mut w);
+        let id_u = w.ue.identity();
+        let err = authorize(&mut w, &req_t, |s| s.reputation_mut().mark_suspect(id_u)).err();
+        assert_eq!(err, Some(SapError::PolicyRefused));
     }
 
     #[test]
     fn disreputable_telco_refused() {
         let mut w = world();
+        let req_t = request(&mut w);
         let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| false, // Reputation system says no.
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::PolicyRefused);
+        // Persistent 2x inflation sinks the bTelco below the admission bar.
+        let err = authorize(&mut w, &req_t, |s| {
+            for _ in 0..20 {
+                s.reputation_mut()
+                    .record_cycle(id_t, CycleVerdict::Mismatch { weight: 1.0 });
+            }
+        })
+        .err();
+        assert_eq!(err, Some(SapError::PolicyRefused));
     }
 
     #[test]
@@ -1320,35 +1162,10 @@ mod tests {
         // relays the request as its own: idT mismatch must be caught.
         let mut w = world();
         let other = TelcoKeys::generate("tower-2.example", &w.ca, &mut w.rng);
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            w.telco.identity(), // Addressed to tower-1...
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&other, req_u, qos_cap()); // ...relayed by tower-2.
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::TelcoMismatch);
+        let (ue, id_t) = (w.ue.clone(), w.telco.identity());
+        let req_t = request_via(&mut w, &ue, id_t, &other, qos_cap());
+        let err = authorize(&mut w, &req_t, |_| {}).err();
+        assert_eq!(err, Some(SapError::TelcoMismatch));
     }
 
     #[test]
@@ -1381,33 +1198,14 @@ mod tests {
             &mut w.rng,
         );
         let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let (reply, ..) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap();
+        let grant = authorize(&mut w, &req_t, |_| {}).expect("authorized");
         // Mallory cannot use the response addressed to our UE.
         let err = ue_verify_response(
             &mallory,
             &w.broker.sign.verifying_key(),
             &nonce,
             id_t,
-            &reply.resp_u,
+            &grant.reply.resp_u,
         )
         .unwrap_err();
         assert_eq!(err, SapError::BadResponse);
@@ -1429,40 +1227,33 @@ mod tests {
         assert_eq!(AuthReqT::decode(&req_t.encode()).as_ref(), Some(&req_t));
     }
 
+    /// The sequential checks against a subscriber under a lawful-intercept
+    /// order (the broker's subscriber table never issues one).
+    fn authenticate_li(
+        w: &World,
+        req_t: &AuthReqT,
+    ) -> Result<(AuthVec, SubscriberEntry), SapError> {
+        let entry = SubscriberEntry {
+            lawful_intercept: true,
+            ..entry_for(w)
+        };
+        broker_authenticate_sequential(
+            &w.broker,
+            &w.ca.public_key(),
+            req_t,
+            &|_| Some(entry.clone()),
+            &|_| true,
+        )
+    }
+
     #[test]
     fn lawful_intercept_obligation_relayed() {
         // A user under an LI order attaches through a capable bTelco:
         // the obligation rides qosInfo to the bTelco.
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
-        let req_t = telco_wrap_request(&w.telco, req_u, qos_cap());
-        let entry = entry_for(&w);
-        let (reply, ..) = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: true,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap();
+        let req_t = request(&mut w);
+        let (vec, entry) = authenticate_li(&w, &req_t).expect("capable bTelco");
+        let (reply, ..) = broker_grant(&w.broker, &req_t, &vec, &entry, 1, &mut w.rng);
         let body = telco_verify_reply(&w.telco, &w.ca.public_key(), &reply).unwrap();
         assert!(
             body.qos.lawful_intercept,
@@ -1475,40 +1266,16 @@ mod tests {
         // The broker cannot silently drop an LI order: if the bTelco
         // cannot provision the tap, the attachment is refused.
         let mut w = world();
-        let id_t = w.telco.identity();
-        let (req_u, _) = ue_build_request(
-            &w.ue,
-            "broker.example",
-            &w.broker.encrypt.public_key(),
-            id_t,
-            &mut w.rng,
-        );
         let cap = QosCap {
             li_capable: false,
             ..qos_cap()
         };
-        let req_t = telco_wrap_request(&w.telco, req_u, cap);
-        let entry = entry_for(&w);
-        let err = broker_process(
-            &w.broker,
-            &w.ca.public_key(),
-            &req_t,
-            |_| {
-                Some(SubscriberEntry {
-                    sign_pk: entry.sign_pk,
-                    encrypt_pk: entry.encrypt_pk,
-                    plan_mbr_bps: entry.plan_mbr_bps,
-                    suspect: false,
-                    alias: entry.alias,
-                    lawful_intercept: true,
-                })
-            },
-            |_| true,
-            1,
-            &mut w.rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, SapError::PolicyRefused);
+        let (ue, telco) = (w.ue.clone(), w.telco.clone());
+        let req_t = request_via(&mut w, &ue, telco.identity(), &telco, cap);
+        assert_eq!(
+            authenticate_li(&w, &req_t).err(),
+            Some(SapError::PolicyRefused)
+        );
     }
 
     #[test]

@@ -1,130 +1,66 @@
-//! `brokerd` as a real network service: the same SAP wire protocol the
-//! simulator uses, served over an actual TCP socket on localhost.
+//! `brokerd` as a real network service: the same broker core the
+//! simulator drives, served over an actual TCP socket on localhost.
 //!
-//! A broker thread accepts length-prefixed [`BrokerWire`] frames; a
-//! "bTelco" client (with an in-process UE) connects, relays a genuine
-//! sealed+signed `authReqT`, and verifies the authorization it gets back.
-//! This demonstrates that the protocol layer is transport-agnostic — the
-//! paper deploys brokerd on AWS behind Magma's Orc8r the same way.
+//! A broker thread runs `serve_tcp` over a deterministic subscriber
+//! population. A "bTelco" (with an in-process UE) connects, relays a
+//! genuine sealed+signed `authReqT`, and verifies the authorization it
+//! gets back; replaying the same bytes is refused. A load generator then
+//! pushes a pipelined burst through the same server. This demonstrates
+//! that the protocol layer is transport-agnostic — the paper deploys
+//! brokerd on AWS behind Magma's Orc8r the same way.
 //!
 //! Run with: `cargo run --example broker_server`
 
+use cellbricks::core::broker_server::{
+    build_requests, population, run_client_tcp, serve_tcp, ClientConfig, ServeConfig, BROKER_NAME,
+};
 use cellbricks::core::brokerd::BrokerWire;
-use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
-use cellbricks::crypto::cert::CertificateAuthority;
+use cellbricks::core::sap::{self, QosCap, SapError};
 use cellbricks::net::wire::{read_frame, write_frame};
 use cellbricks::sim::SimRng;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-struct SubscriberDb {
-    users: HashMap<cellbricks::core::principal::Identity, SubscriberEntry>,
-}
+use std::time::Duration;
 
 fn main() {
-    let mut rng = SimRng::new(7);
-    let ca = CertificateAuthority::from_seed([0xCA; 32]);
-    let broker_keys = BrokerKeys::generate("broker.example", &ca, &mut rng);
-    let telco_keys = TelcoKeys::generate("tower-1.example", &ca, &mut rng);
-    let ue_keys = UeKeys::generate(&mut rng);
-
-    // Provision the subscriber in the broker's database.
-    let (sign_pk, encrypt_pk) = ue_keys.public();
-    let db = Arc::new(Mutex::new(SubscriberDb {
-        users: HashMap::new(),
-    }));
-    db.lock().users.insert(
-        ue_keys.identity(),
-        SubscriberEntry {
-            sign_pk,
-            encrypt_pk,
-            plan_mbr_bps: 50_000_000,
-            suspect: false,
-            alias: 7,
-            lawful_intercept: false,
-        },
-    );
+    // Server and clients derive the same keys from one seed, so no
+    // provisioning protocol is needed.
+    let pop = population(7, 4);
+    let mut server = pop.server(SimRng::new(99));
 
     // --- The broker service thread. ---
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
-    println!("brokerd listening on {addr}");
-    let ca_pk = ca.public_key();
-    let server_keys = broker_keys.clone();
-    let server_db = Arc::clone(&db);
-    let server = std::thread::spawn(move || {
-        let mut server_rng = SimRng::new(99);
-        let (mut stream, peer) = listener.accept().expect("accept");
-        println!("brokerd: connection from {peer}");
-        let frame = match read_frame(&mut stream) {
-            Ok(frame) => frame,
-            Err(e) => {
-                // A hostile or garbled prefix (e.g. oversized length) is
-                // a protocol error: drop the connection, don't panic.
-                println!("brokerd: dropping connection from {peer}: {e}");
-                return;
-            }
-        };
-        let Some(BrokerWire::AuthReq { req_id, req_t }) = BrokerWire::decode(&frame) else {
-            panic!("brokerd: malformed request");
-        };
-        let req = sap::AuthReqT::decode(&req_t).expect("authReqT");
-        let db = server_db.lock();
-        let result = sap::broker_process(
-            &server_keys,
-            &ca_pk,
-            &req,
-            |id| {
-                db.users.get(&id).map(|e| SubscriberEntry {
-                    sign_pk: e.sign_pk,
-                    encrypt_pk: e.encrypt_pk,
-                    plan_mbr_bps: e.plan_mbr_bps,
-                    suspect: e.suspect,
-                    alias: e.alias,
-                    lawful_intercept: false,
-                })
-            },
-            |_| true,
-            42,
-            &mut server_rng,
-        );
-        let reply = match result {
-            Ok((reply, vec, qos, _ss)) => {
-                println!(
-                    "brokerd: authorized UE {:02x?}... on {} at {} Mbps",
-                    &vec.id_u.0[..4],
-                    req.t_cert.subject,
-                    qos.mbr_bps / 1_000_000
-                );
-                BrokerWire::AuthOk {
-                    req_id,
-                    reply: reply.encode(),
-                }
-            }
-            Err(e) => {
-                println!("brokerd: refused ({e:?})");
-                BrokerWire::AuthErr {
-                    req_id,
-                    code: e as u8,
-                }
-            }
-        };
-        write_frame(&mut stream, &reply.encode()).expect("write");
+    println!(
+        "brokerd listening on {addr} ({} subscribers)",
+        server.subscriber_count()
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_server = Arc::clone(&stop);
+    let handle = std::thread::spawn(move || {
+        serve_tcp(
+            &mut server,
+            &listener,
+            &stop_server,
+            &ServeConfig::default(),
+        )
+        .expect("serve_tcp");
+        server
     });
 
-    // --- The bTelco client (with its UE) on the main thread. ---
+    // --- The bTelco (with UE 0) on the main thread. ---
+    let (ue, telco) = (&pop.ues[0], &pop.telco);
+    let mut rng = SimRng::new(11);
     let (req_u, nonce) = sap::ue_build_request(
-        &ue_keys,
-        "broker.example",
-        &broker_keys.encrypt.public_key(),
-        telco_keys.identity(),
+        ue,
+        BROKER_NAME,
+        &pop.broker.encrypt.public_key(),
+        telco.identity(),
         &mut rng,
     );
     let req_t = sap::telco_wrap_request(
-        &telco_keys,
+        telco,
         req_u,
         QosCap {
             max_mbr_bps: 100_000_000,
@@ -132,41 +68,74 @@ fn main() {
             li_capable: true,
         },
     );
+    let request = BrokerWire::AuthReq {
+        req_id: 1,
+        req_t: req_t.encode(),
+    }
+    .encode();
     let mut stream = TcpStream::connect(addr).expect("connect");
     println!("bTelco: forwarding authReqT over TCP...");
-    write_frame(
-        &mut stream,
-        &BrokerWire::AuthReq {
-            req_id: 1,
-            req_t: req_t.encode(),
-        }
-        .encode(),
-    )
-    .expect("send");
-
-    let frame = read_frame(&mut stream).expect("reply");
-    match BrokerWire::decode(&frame) {
+    write_frame(&mut stream, &request).expect("send");
+    match BrokerWire::decode(&read_frame(&mut stream).expect("reply")) {
         Some(BrokerWire::AuthOk { reply, .. }) => {
             let reply = sap::BrokerReply::decode(&reply).expect("reply");
-            let t_body =
-                sap::telco_verify_reply(&telco_keys, &ca.public_key(), &reply).expect("verify");
+            let t_body = sap::telco_verify_reply(telco, &pop.ca.public_key(), &reply)
+                .expect("bTelco verifies");
             println!(
-                "bTelco: authorization verified — UE alias #{}, session #{}",
-                t_body.ue_alias, t_body.session_id
+                "bTelco: authorization verified — UE alias #{}, session #{}, {} Mbps",
+                t_body.ue_alias,
+                t_body.session_id,
+                t_body.qos.mbr_bps / 1_000_000
             );
             let u_body = sap::ue_verify_response(
-                &ue_keys,
-                &broker_keys.sign.verifying_key(),
+                ue,
+                &pop.broker.sign.verifying_key(),
                 &nonce,
-                telco_keys.identity(),
+                telco.identity(),
                 &reply.resp_u,
             )
-            .expect("UE verify");
+            .expect("UE verifies");
             assert_eq!(u_body.ss, t_body.ss);
             println!("UE: response verified — shared secret established over real TCP.");
         }
         other => panic!("unexpected reply: {other:?}"),
     }
-    server.join().unwrap();
+
+    // A captured request replayed verbatim authorizes nothing.
+    write_frame(&mut stream, &request).expect("replay");
+    match BrokerWire::decode(&read_frame(&mut stream).expect("reply")) {
+        Some(BrokerWire::AuthErr { code, .. }) => {
+            assert_eq!(code, SapError::NonceMismatch as u8);
+            println!("bTelco: the replayed request was refused (code {code}, nonce reuse).");
+        }
+        other => panic!("replay must be refused, got {other:?}"),
+    }
+
+    // --- A pipelined burst from every subscriber, batched server-side. ---
+    let requests = build_requests(&pop, &[0, 1, 2, 3], 32, &mut rng);
+    let outcome = run_client_tcp(
+        &ClientConfig {
+            server: addr,
+            window: 8,
+            retransmit_after: Duration::from_millis(250),
+            deadline: Duration::from_secs(30),
+            rtt_hist: "example.broker_server.rtt_us".to_string(),
+        },
+        &requests,
+    )
+    .expect("load generator");
+    println!(
+        "load generator: {} authorized, {} refused, {} lost",
+        outcome.ok, outcome.refused, outcome.lost
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    let server = handle.join().expect("server thread");
+    let c = server.counters;
+    println!(
+        "brokerd: {} served, {} refused, {} bad frames over {} batches",
+        c.served_auths, c.auth_errs, c.bad_frames, c.batches
+    );
+    assert_eq!(outcome.ok, 32);
     println!("done.");
 }

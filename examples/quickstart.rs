@@ -11,8 +11,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use cellbricks::core::broker_core::{BrokerCore, BrokerState, Inline};
 use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
+use cellbricks::core::sap::{self, QosCap};
 use cellbricks::crypto::cert::CertificateAuthority;
 use cellbricks::epc::aka::{derive_nas_enc_key, derive_nas_int_key};
 use cellbricks::sim::SimRng;
@@ -66,26 +67,17 @@ fn main() {
     );
 
     // --- Step 3: the broker authenticates BOTH parties and authorizes.
+    // Its subscriber DB holds the UE's public keys; the broker core
+    // decides a batch of requests — here, a batch of one.
+    let mut db = BrokerState::new(1001); // First billing session id.
     let (sign_pk, encrypt_pk) = ue.public();
-    let (reply, vec, qos, _ss) = sap::broker_process(
-        &broker,
-        &ca.public_key(),
-        &req_t,
-        |id| {
-            (id == ue.identity()).then_some(SubscriberEntry {
-                sign_pk,
-                encrypt_pk,
-                plan_mbr_bps: 50_000_000,
-                suspect: false,
-                alias: 7,
-                lawful_intercept: false,
-            })
-        },
-        |_telco| true, // Reputation system admits this bTelco.
-        1001,          // Billing session id.
-        &mut rng,
-    )
-    .expect("broker authorizes");
+    db.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+    let mut core = BrokerCore::new(broker.clone(), ca.public_key(), rng.fork());
+    let grant = core
+        .decide(&mut db, &[req_t.encode()], &Inline)
+        .remove(0)
+        .expect("broker authorizes");
+    let (reply, qos) = (grant.reply, grant.qos);
     println!("3. broker → bTelco  brokerReply (authRespT ‖ authRespU)");
     println!("   broker verified: bTelco cert ✓  bTelco sig ✓  UE sig ✓");
     println!(
@@ -93,7 +85,7 @@ fn main() {
         qos.mbr_bps / 1_000_000,
         qos.qci
     );
-    assert_eq!(vec.nonce, nonce);
+    assert_eq!(grant.vec.nonce, nonce);
 
     // --- Step 4: bTelco extracts its authorization proof; UE verifies.
     let t_body = sap::telco_verify_reply(&telco, &ca.public_key(), &reply)

@@ -22,8 +22,9 @@
 //! simulated network):
 //!
 //! ```
+//! use cellbricks::core::broker_core::{BrokerCore, BrokerState, Inline};
 //! use cellbricks::core::principal::{BrokerKeys, TelcoKeys, UeKeys};
-//! use cellbricks::core::sap::{self, QosCap, SubscriberEntry};
+//! use cellbricks::core::sap::{self, QosCap};
 //! use cellbricks::crypto::cert::CertificateAuthority;
 //! use cellbricks::sim::SimRng;
 //!
@@ -39,16 +40,13 @@
 //! let req_t = sap::telco_wrap_request(
 //!     &telco, req_u,
 //!     QosCap { max_mbr_bps: 100_000_000, qci_supported: vec![9], li_capable: true });
+//! // The broker's subscriber DB and its decision (a batch of one):
+//! let mut db = BrokerState::new(1);
 //! let (sign_pk, encrypt_pk) = ue.public();
-//! let (reply, ..) = sap::broker_process(
-//!     &broker, &ca.public_key(), &req_t,
-//!     |id| (id == ue.identity()).then_some(SubscriberEntry {
-//!         sign_pk, encrypt_pk: encrypt_pk.clone(),
-//!         plan_mbr_bps: 50_000_000, suspect: false, alias: 1,
-//!         lawful_intercept: false,
-//!     }),
-//!     |_| true, 1, &mut rng,
-//! ).expect("authorized");
+//! db.provision(ue.identity(), sign_pk, encrypt_pk, 50_000_000);
+//! let mut core = BrokerCore::new(broker.clone(), ca.public_key(), rng.fork());
+//! let reply = core.decide(&mut db, &[req_t.encode()], &Inline).remove(0)
+//!     .expect("authorized").reply;
 //!
 //! // Both ends verify and share the session secret:
 //! let t = sap::telco_verify_reply(&telco, &ca.public_key(), &reply).unwrap();
