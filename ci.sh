@@ -107,9 +107,10 @@ echo "==> exp_scale gates OK (committed n10k ${committed_eps} ev/s >= ${ENGINE_N
 #     by the last full sweep) must itself clear the floors — a PR can
 #     only re-commit it from a run that does.
 #
-# CELLBRICKS_SHARDS picks the engine: 1 (default) is the legacy
-# single-shard path; >1 partitions the 8-region mega topology by
-# region and steps the shards under the conservative barrier.
+# CELLBRICKS_SHARDS picks the shard count: 1 (default) runs the one
+# cell inline; >1 partitions the 8-region mega topology by region and
+# steps the shards under the conservative barrier. Results are the same
+# at every shard count; only the speed differs.
 MEGA_N100K_FLOOR=1300000
 MEGA_N1M_FLOOR=1000000
 for gate in "n100000 $MEGA_N100K_FLOOR" "n1000000 $MEGA_N1M_FLOOR"; do
@@ -299,9 +300,9 @@ fi
 # paths (deliberate or accidental) turns the gate red until the figures
 # are regenerated and re-reviewed. reputation, broker and chaos cover
 # what the figures do not: reputation refusals, broker-plane failover,
-# and the broker outage.
+# and the broker outage; quic_ablation covers QUIC connection migration.
 replay=$(mktemp -d)
-for exp in fig7 fig8 fig9 fig10 table1 cc reputation broker chaos; do
+for exp in fig7 fig8 fig9 fig10 table1 cc reputation broker chaos quic_ablation; do
     echo
     echo "==> replay exp_$exp"
     env CELLBRICKS_RESULTS_DIR="$replay" \

@@ -266,38 +266,24 @@ fn run_mega(n: usize, seed: u64, duration: SimDuration, shards: usize) -> MegaRe
     let ev0 = sched_events();
     let run_phase = cellbricks_bench::alloc_count::Phase::start();
     let t0 = std::time::Instant::now();
-    if shards > 1 {
-        let lookahead = mw.lookahead.expect("mega topology has cross-shard links");
-        let plan = mw.topology_plan;
-        let mut cells = make_cells(mw.world, &plan, seed ^ 0x6d65_6761);
-        let mut buckets: Vec<Vec<&mut (dyn Endpoint + Send)>> =
-            (0..cells.len()).map(|_| Vec::new()).collect();
-        buckets[plan.shard_of(Endpoint::node(&mw.hub))].push(&mut mw.hub);
-        for gw in &mut mw.gws {
-            buckets[plan.shard_of(Endpoint::node(gw))].push(gw);
-        }
-        for sink in &mut mw.sinks {
-            buckets[plan.shard_of(Endpoint::node(sink))].push(sink);
-        }
-        for ue in mw.ues.iter_mut() {
-            buckets[plan.shard_of(ue.node)].push(ue);
-        }
-        run_sharded(&mut cells, &mut buckets, until, lookahead);
-    } else {
-        let mut endpoints: Vec<&mut dyn Endpoint> =
-            Vec::with_capacity(mw.ues.len() + 2 * MEGA_REGIONS as usize + 1);
-        endpoints.push(&mut mw.hub);
-        for gw in &mut mw.gws {
-            endpoints.push(gw);
-        }
-        for sink in &mut mw.sinks {
-            endpoints.push(sink);
-        }
-        for ue in mw.ues.iter_mut() {
-            endpoints.push(ue);
-        }
-        Driver::new().run_to(&mut mw.world, &mut endpoints, until);
+    // One shard has no cross-shard link, and so no lookahead; it runs
+    // inline, where the value is never used.
+    let lookahead = mw.lookahead.unwrap_or(duration);
+    let plan = mw.topology_plan;
+    let mut cells = make_cells(mw.world, &plan, seed ^ 0x6d65_6761);
+    let mut buckets: Vec<Vec<&mut (dyn Endpoint + Send)>> =
+        (0..cells.len()).map(|_| Vec::new()).collect();
+    buckets[plan.shard_of(Endpoint::node(&mw.hub))].push(&mut mw.hub);
+    for gw in &mut mw.gws {
+        buckets[plan.shard_of(Endpoint::node(gw))].push(gw);
     }
+    for sink in &mut mw.sinks {
+        buckets[plan.shard_of(Endpoint::node(sink))].push(sink);
+    }
+    for ue in mw.ues.iter_mut() {
+        buckets[plan.shard_of(ue.node)].push(ue);
+    }
+    run_sharded(&mut cells, &mut buckets, until, lookahead);
     let wall = t0.elapsed();
     run_phase.export(&format!("exp_scale.mega.n{n}.run"));
     let events = sched_events() - ev0;

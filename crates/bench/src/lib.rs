@@ -65,8 +65,9 @@ pub fn arg_flag(flag: &str) -> bool {
 }
 
 /// The `CELLBRICKS_SHARDS` engine knob: how many shards the scale
-/// experiments split the topology into. Defaults to 1 — the legacy
-/// single-shard path whose figure output is diffed byte-for-byte in CI.
+/// experiments split the topology into. Defaults to 1. Results do not
+/// depend on it — every shard count runs the same determinism class —
+/// only the wall-clock speed does.
 #[must_use]
 pub fn env_shards() -> usize {
     std::env::var("CELLBRICKS_SHARDS")

@@ -19,10 +19,10 @@
 //!   into buffers owned by the driver, so the hot loop performs no
 //!   per-iteration allocation.
 //!
-//! The engine preserves the exact event order of the original
-//! scan-per-event loop: arrivals dispatch in queue order (time, then
-//! FIFO), due endpoints poll in endpoint-slice order, and the clock never
-//! runs backwards. Invariants are documented in `DESIGN.md` §Engine.
+//! Event order is total: arrivals dispatch in the world's canonical
+//! `(time, link direction, per-direction seq)` order, due endpoints poll
+//! in endpoint-slice order, and the clock never runs backwards.
+//! Invariants are documented in `DESIGN.md` §Engine.
 
 use crate::fault::{EndpointFault, FaultAction, FaultPlan};
 use crate::packet::PacketKind;
@@ -315,7 +315,7 @@ impl Driver {
     /// Drive `endpoints` over `world` until no event remains at or before
     /// `until`, starting from this engine's clock. Returns the time of
     /// the last processed event, and advances the clock to `until` so
-    /// segmented runs chain exactly like repeated [`run_between`] calls.
+    /// segmented runs chain exactly like a single call to the last horizon.
     ///
     /// # Panics
     /// Panics if endpoints livelock (an endpoint keeps reporting a due
@@ -529,34 +529,6 @@ impl Driver {
     }
 }
 
-/// Drive `endpoints` over `world` from time zero until no event remains
-/// at or before `until`. Returns the time of the last processed event.
-/// One-shot convenience over [`Driver`]; for segmented runs keep a
-/// `Driver` and call [`Driver::run_to`] repeatedly.
-pub fn run_until(
-    world: &mut NetWorld,
-    endpoints: &mut [&mut dyn Endpoint],
-    until: SimTime,
-) -> SimTime {
-    Driver::new().run_to(world, endpoints, until)
-}
-
-/// Drive `endpoints` over `world` until no event remains at or before
-/// `until`, with the clock starting at `from`. One-shot convenience over
-/// [`Driver::starting_at`].
-///
-/// # Panics
-/// Panics if endpoints livelock (an endpoint keeps reporting a due
-/// `poll_at` without making progress).
-pub fn run_between(
-    world: &mut NetWorld,
-    endpoints: &mut [&mut dyn Endpoint],
-    from: SimTime,
-    until: SimTime,
-) -> SimTime {
-    Driver::starting_at(from).run_to(world, endpoints, until)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,24 +731,5 @@ mod tests {
         // The fault for b targets an endpoint that ignores it (default
         // impl on Periodic): delivery must not panic or stall the run.
         assert_eq!(driver.pending_faults(), 0);
-    }
-
-    #[test]
-    fn wrappers_drive_to_completion() {
-        let (mut world, a, b) = two_node_world();
-        let mut pa = periodic(a, IP_B, 4);
-        let mut pb = periodic(b, IP_A, 0);
-        let last = run_until(&mut world, &mut [&mut pa, &mut pb], SimTime::from_secs(1));
-        assert_eq!(pb.received.len(), 4);
-        assert_eq!(last, SimTime::from_millis(41));
-        let mut pc = periodic(a, IP_B, 5);
-        pc.next = SimTime::from_secs(2);
-        run_between(
-            &mut world,
-            &mut [&mut pc, &mut pb],
-            SimTime::from_secs(1),
-            SimTime::from_secs(3),
-        );
-        assert_eq!(pb.received.len(), 9);
     }
 }

@@ -34,7 +34,7 @@ pub mod topology;
 pub mod wire;
 pub mod world;
 
-pub use engine::{run_between, run_until, Driver};
+pub use engine::Driver;
 pub use fault::{BurstLoss, EndpointFault, FaultAction, FaultPlan};
 pub use link::{LinkConfig, RateSchedule, Shaper};
 pub use packet::{

@@ -13,6 +13,9 @@
 //!
 //! # Determinism (bit-identical for any shard count)
 //!
+//! Every [`NetWorld`] is a shard — an unsplit world is the one-shard
+//! case — so there is one determinism class:
+//!
 //! * Loss/burst decisions draw from **per-link-direction RNG streams**
 //!   seeded from `(stream_seed, link, dir)`. A direction is only ever
 //!   exercised by the shard owning its source node, so each direction
@@ -24,11 +27,6 @@
 //! * Within a shard the [`Driver`] is the sequential engine unchanged;
 //!   mailbox push order between workers is racy, but injection feeds a
 //!   wheel whose drain is canonically re-sorted, so the race is erased.
-//!
-//! The single-shard **legacy** path (a `NetWorld` never split) is
-//! untouched: it draws from the world RNG in the pinned order, and the
-//! figure-replay gate keeps it byte-for-byte. Sharded runs (including
-//! `shards = 1`) form their own determinism class.
 
 use crate::engine::Driver;
 use crate::fault::FaultPlan;
@@ -188,6 +186,13 @@ pub fn merged_link_stats(cells: &[ShardCell], link: LinkId) -> LinkStats {
     total
 }
 
+/// Reborrow a shard's endpoints as the trait objects the driver takes.
+fn unsized_endpoints<'a>(eps: &'a mut [&mut (dyn Endpoint + Send)]) -> Vec<&'a mut dyn Endpoint> {
+    eps.iter_mut()
+        .map(|e| &mut **e as &mut dyn Endpoint)
+        .collect()
+}
+
 /// Step all shards to `until` under the conservative barrier.
 ///
 /// `endpoints[s]` holds shard `s`'s endpoints (each must live on a node
@@ -198,6 +203,8 @@ pub fn merged_link_stats(cells: &[ShardCell], link: LinkId) -> LinkStats {
 /// lookahead argument, can only arrive in later windows. A final
 /// inclusive `run_to(until)` processes events at exactly the horizon, so
 /// segmented sharded runs chain like segmented [`Driver::run_to`] calls.
+/// A single cell has nothing to exchange: it runs inline on the calling
+/// thread, with no worker and no barrier.
 ///
 /// Pass the minimum inter-shard latency from [`ShardPlan::lookahead`];
 /// a smaller value is correct but slower (more barriers), a larger one
@@ -221,6 +228,12 @@ pub fn run_sharded(
         lookahead > SimDuration::ZERO,
         "conservative sync needs a positive lookahead"
     );
+    if let [cell] = cells {
+        // One shard has no cross-shard traffic: no thread, no barrier.
+        let mut eps = unsized_endpoints(&mut endpoints[0]);
+        cell.driver.run_to(&mut cell.world, &mut eps, until);
+        return;
+    }
     let shards = cells.len();
     let barrier = Barrier::new(shards);
     let mailboxes: Vec<Mutex<Vec<CrossPacket>>> =
@@ -230,11 +243,7 @@ pub fn run_sharded(
             let barrier = &barrier;
             let mailboxes = &mailboxes;
             scope.spawn(move || {
-                // Reborrow to the unsized trait object the driver takes.
-                let mut eps: Vec<&mut dyn Endpoint> = eps
-                    .iter_mut()
-                    .map(|e| &mut **e as &mut dyn Endpoint)
-                    .collect();
+                let mut eps = unsized_endpoints(eps);
                 cell.driver.sync(&eps);
                 let mut outbuf: Vec<CrossPacket> = Vec::new();
                 let mut t = cell.driver.clock();

@@ -29,6 +29,7 @@ impl Route {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct Node {
     pub(crate) name: String,
     routes: Vec<Route>,
@@ -37,6 +38,7 @@ pub(crate) struct Node {
     pub(crate) region: u32,
 }
 
+#[derive(Clone)]
 pub(crate) struct Link {
     pub(crate) a: NodeId,
     pub(crate) b: NodeId,
@@ -48,7 +50,7 @@ pub(crate) struct Link {
 
 /// The static network topology: named nodes, configured links, and
 /// per-node longest-prefix route tables.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Topology {
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
@@ -259,16 +261,7 @@ impl Topology {
                     region: n.region,
                 })
                 .collect(),
-            links: self
-                .links
-                .iter()
-                .map(|l| Link {
-                    a: l.a,
-                    b: l.b,
-                    ab: l.ab.clone(),
-                    ba: l.ba.clone(),
-                })
-                .collect(),
+            links: self.links.clone(),
         }
     }
 }

@@ -13,6 +13,7 @@ use crate::shard::{mix, ShardPlan};
 use crate::topology::{LinkId, NodeId, Topology};
 use cellbricks_sim::{EventQueue, SimRng, SimTime, TimerWheel};
 use cellbricks_telemetry as telemetry;
+use rand::RngCore;
 use std::sync::Arc;
 
 /// A protocol participant attached to a topology node.
@@ -40,11 +41,10 @@ pub trait Endpoint {
 struct Arrival {
     node: NodeId,
     pkt: Packet,
-    /// Canonical stream key `(link << 1) | direction` — the total order
-    /// over same-instant arrivals in sharded mode. 0 in legacy mode
-    /// (where wheel FIFO order is the contract).
+    /// Canonical stream key `(link << 1) | direction` — with `seq`, the
+    /// total order over same-instant arrivals.
     key: u32,
-    /// Per-stream insertion sequence (sharded mode; 0 in legacy mode).
+    /// Per-direction insertion sequence.
     seq: u64,
 }
 
@@ -72,31 +72,6 @@ impl CrossPacket {
     pub fn arrives_at(&self) -> SimTime {
         self.at
     }
-}
-
-/// Sharded-mode state of a [`NetWorld`] slice (absent on the legacy
-/// single-world path, which the figure-replay gate pins byte-for-byte).
-///
-/// Determinism across shard counts hinges on two ideas here:
-/// * every link **direction** gets its own RNG stream, seeded from
-///   `(stream_seed, link, dir)` — a direction is only ever exercised by
-///   the shard owning its source node, so the sample sequence any
-///   direction sees is the same no matter how nodes are partitioned;
-/// * every delivered packet is tagged `(key, seq)` = (direction, per-
-///   direction insertion ordinal), and arrivals dispatch in
-///   `(time, key, seq)` order — a total order independent of which shard
-///   produced the packet or when it crossed the barrier.
-struct ShardState {
-    /// This world's shard index.
-    shard: u32,
-    /// Owning shard per node, indexed by dense `NodeId`.
-    node_shard: Arc<Vec<u32>>,
-    /// One RNG per link direction, indexed `[link][dir]`.
-    dir_rngs: Vec<[SimRng; 2]>,
-    /// Per-direction delivery ordinals, indexed `[link][dir]`.
-    dir_seq: Vec<[u64; 2]>,
-    /// Deliveries bound for other shards, awaiting the barrier.
-    outbox: Vec<CrossPacket>,
 }
 
 /// Per-link delivery/drop counters.
@@ -150,34 +125,76 @@ impl WorldMetrics {
     }
 }
 
-/// The network: topology plus in-flight packets.
+/// The network: topology plus in-flight packets — one shard of it.
+///
+/// Every world is a shard: [`NetWorld::new`] builds the one-shard world,
+/// [`NetWorld::into_shards`] splits it. Results are bit-identical for any
+/// shard count because of two rules:
+/// * every link **direction** gets its own RNG stream, seeded from
+///   `(stream_seed, link, dir)` — a direction is only ever exercised by
+///   the shard owning its source node, so the sample sequence any
+///   direction sees is the same no matter how nodes are partitioned;
+/// * every delivered packet is tagged `(key, seq)` = (direction, per-
+///   direction insertion ordinal), and arrivals dispatch in
+///   `(time, key, seq)` order — a total order independent of which shard
+///   produced the packet or when it crossed the barrier.
 pub struct NetWorld {
     topology: Topology,
     /// In-flight deliveries, indexed by arrival instant. A [`TimerWheel`]
     /// rather than an [`EventQueue`]: the slab freelist recycles queue
     /// entries, so the steady-state delivery path allocates nothing.
     arrivals: TimerWheel<Arrival>,
-    rng: SimRng,
     /// Packets dropped because no route matched.
     pub no_route_drops: u64,
     metrics: WorldMetrics,
-    /// Sharded-mode state; `None` on the legacy single-world path.
-    shard: Option<Box<ShardState>>,
-    /// Scratch for the canonical-order drain (sharded mode only).
-    drain_scratch: Vec<(SimTime, u32, u64, NodeId, Packet)>,
+    /// This world's shard index.
+    shard: u32,
+    /// Owning shard per node, indexed by dense `NodeId`.
+    node_shard: Arc<Vec<u32>>,
+    /// One stream per link direction, indexed `[link][dir]`.
+    streams: Vec<[DirStream; 2]>,
+    /// Deliveries bound for other shards, awaiting the barrier.
+    outbox: Vec<CrossPacket>,
+    /// Scratch for the canonical-order drain.
+    drain_scratch: Vec<(SimTime, Arrival)>,
+}
+
+/// One link direction's stream: its loss RNG and its delivery ordinal.
+struct DirStream {
+    rng: SimRng,
+    seq: u64,
 }
 
 impl NetWorld {
-    /// Wrap a topology; `rng` drives loss decisions.
+    /// Wrap a topology as a one-shard world. The per-direction loss
+    /// streams derive from one stream seed, the first `u64` drawn from
+    /// `rng`: the result is the single slice of
+    /// [`into_shards`](Self::into_shards) at one shard with that seed.
     #[must_use]
-    pub fn new(topology: Topology, rng: SimRng) -> Self {
+    pub fn new(topology: Topology, mut rng: SimRng) -> Self {
+        let node_shard = Arc::new(vec![0; topology.node_count()]);
+        Self::slice(topology, 0, node_shard, rng.next_u64())
+    }
+
+    /// Shard `shard`'s world over `topology`, with the direction streams
+    /// of `stream_seed`.
+    fn slice(topology: Topology, shard: u32, node_shard: Arc<Vec<u32>>, stream_seed: u64) -> Self {
+        let links = topology.link_count() as u64;
+        let stream = |s| DirStream {
+            rng: SimRng::new(mix(stream_seed, s)),
+            seq: 0,
+        };
         Self {
             topology,
             arrivals: TimerWheel::new(),
-            rng,
             no_route_drops: 0,
             metrics: WorldMetrics::register(),
-            shard: None,
+            shard,
+            node_shard,
+            streams: (0..links)
+                .map(|l| [stream(l << 1), stream(l << 1 | 1)])
+                .collect(),
+            outbox: Vec::new(),
             drain_scratch: Vec::new(),
         }
     }
@@ -185,12 +202,9 @@ impl NetWorld {
     /// Split this world into one slice per shard of `plan`.
     ///
     /// Each slice clones the topology (route tables only for owned
-    /// nodes) and carries its own arrival wheel; loss/burst decisions
-    /// switch from the world RNG to per-link-direction streams seeded
-    /// from `stream_seed`, which is what makes results bit-identical for
-    /// any shard count (including 1). Sharded results therefore differ
-    /// from the legacy path's — the legacy RNG stream is pinned by the
-    /// figure-replay gate and is not touched.
+    /// nodes) and carries its own arrival wheel; the direction streams
+    /// are re-seeded from `stream_seed`, which is what makes results
+    /// bit-identical for any shard count (including 1).
     ///
     /// # Panics
     /// Panics if packets are already in flight (split before traffic).
@@ -206,44 +220,13 @@ impl NetWorld {
             self.topology.node_count(),
             "shard plan built for a different topology"
         );
-        let links = self.topology.link_count();
         let topo = std::mem::take(&mut self.topology);
-        (0..plan.shards())
+        (0..plan.shards() as u32)
             .map(|s| {
-                let dir_rngs = (0..links)
-                    .map(|l| {
-                        let l = l as u64;
-                        [
-                            SimRng::new(mix(stream_seed, l << 1)),
-                            SimRng::new(mix(stream_seed, (l << 1) | 1)),
-                        ]
-                    })
-                    .collect();
-                NetWorld {
-                    topology: topo.clone_for_shard(|n| node_shard[n] == s as u32),
-                    arrivals: TimerWheel::new(),
-                    // Unused by sharded sends; kept so the API surface
-                    // (e.g. future per-shard jitter) has a stream.
-                    rng: SimRng::new(mix(stream_seed, 0x5eed_0000 | s as u64)),
-                    no_route_drops: 0,
-                    metrics: WorldMetrics::register(),
-                    shard: Some(Box::new(ShardState {
-                        shard: s as u32,
-                        node_shard: node_shard.clone(),
-                        dir_rngs,
-                        dir_seq: vec![[0; 2]; links],
-                        outbox: Vec::new(),
-                    })),
-                    drain_scratch: Vec::new(),
-                }
+                let slice = topo.clone_for_shard(|n| node_shard[n] == s);
+                Self::slice(slice, s, node_shard.clone(), stream_seed)
             })
             .collect()
-    }
-
-    /// This world's shard index (`None` on the legacy path).
-    #[must_use]
-    pub fn shard_id(&self) -> Option<usize> {
-        self.shard.as_ref().map(|s| s.shard as usize)
     }
 
     /// The topology (routes may be inspected but links carry state).
@@ -267,30 +250,15 @@ impl NetWorld {
         };
         let peer = self.topology.peer(link, from);
         let size = pkt.wire_size();
-        // Loss samples: legacy mode draws from the world RNG in the exact
-        // order the figure-replay gate pins; sharded mode draws from the
-        // per-direction stream so the sequence a direction sees does not
-        // depend on the partition (see [`ShardState`]).
-        let dir_is_ba = {
-            let l = &self.topology.links[link.0];
-            l.a != from
-        };
-        let (draw, burst_draw) = {
-            let l = &self.topology.links[link.0];
-            let dir = if dir_is_ba { &l.ba } else { &l.ab };
-            let has_burst = dir.burst_installed();
-            let r = match &mut self.shard {
-                Some(sh) => &mut sh.dir_rngs[link.0][usize::from(dir_is_ba)],
-                None => &mut self.rng,
-            };
-            let draw = r.unit();
-            // Links without a burst model consume exactly one sample per
-            // send, so installing one elsewhere never perturbs this
-            // link's stream.
-            (draw, has_burst.then(|| r.unit()))
-        };
         let l = &mut self.topology.links[link.0];
-        let dir = if dir_is_ba { &mut l.ba } else { &mut l.ab };
+        let d = usize::from(l.a != from);
+        let dir = if d == 1 { &mut l.ba } else { &mut l.ab };
+        // Loss samples come from the direction's own stream. Links
+        // without a burst model consume exactly one sample per send, so
+        // installing one elsewhere never perturbs this link's stream.
+        let stream = &mut self.streams[link.0][d];
+        let draw = stream.rng.unit();
+        let burst_draw = dir.burst_installed().then(|| stream.rng.unit());
         let policer_before = dir.policer_hits;
         let offer = dir.offer(now, size, draw, burst_draw);
         if dir.policer_hits != policer_before {
@@ -300,29 +268,11 @@ impl NetWorld {
             Offer::Deliver(at) => {
                 self.metrics.delivered.inc();
                 self.metrics.delivered_bytes.add(u64::from(size));
-                let (key, seq, remote) = match &mut self.shard {
-                    Some(sh) => {
-                        let d = usize::from(dir_is_ba);
-                        let seq = sh.dir_seq[link.0][d];
-                        sh.dir_seq[link.0][d] += 1;
-                        let key = (link.0 as u32) << 1 | d as u32;
-                        let dst = sh.node_shard[peer.0];
-                        (key, seq, (dst != sh.shard).then_some(dst))
-                    }
-                    None => (0, 0, None),
-                };
-                if let Some(dst_shard) = remote {
-                    // Bound for another shard: park it in the outbox for
-                    // the barrier exchange instead of the local wheel.
-                    self.shard.as_mut().unwrap().outbox.push(CrossPacket {
-                        dst_shard,
-                        at,
-                        node: peer,
-                        key,
-                        seq,
-                        pkt,
-                    });
-                } else {
+                let seq = stream.seq;
+                stream.seq += 1;
+                let key = (link.0 as u32) << 1 | d as u32;
+                let dst_shard = self.node_shard[peer.0];
+                if dst_shard == self.shard {
                     self.arrivals.insert(
                         at,
                         Arrival {
@@ -333,6 +283,17 @@ impl NetWorld {
                         },
                     );
                     self.metrics.in_flight.add(1);
+                } else {
+                    // Bound for another shard: park it in the outbox for
+                    // the barrier exchange instead of the local wheel.
+                    self.outbox.push(CrossPacket {
+                        dst_shard,
+                        at,
+                        node: peer,
+                        key,
+                        seq,
+                        pkt,
+                    });
                 }
             }
             Offer::Drop(cause) => {
@@ -358,43 +319,40 @@ impl NetWorld {
     /// a caller-owned reusable buffer, so the hot loop never allocates a
     /// fresh `Vec` per iteration.
     ///
-    /// Legacy mode preserves the wheel's (time, FIFO) pop order exactly.
-    /// Sharded mode re-sorts the drained batch into the canonical
+    /// The drained batch is sorted into the canonical
     /// `(time, direction key, per-direction seq)` order — a total order
     /// that does not depend on wheel insertion order, and therefore not
     /// on which barrier window a cross-shard packet was injected in.
     pub fn drain_arrivals_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, NodeId, Packet)>) {
-        let before = out.len();
-        if self.shard.is_some() {
-            debug_assert!(self.drain_scratch.is_empty());
-            while let Some((at, arrival)) = self.arrivals.pop_due(now) {
-                self.drain_scratch
-                    .push((at, arrival.key, arrival.seq, arrival.node, arrival.pkt));
+        let Some((at, first)) = self.arrivals.pop_due(now) else {
+            return;
+        };
+        let drained = match self.arrivals.pop_due(now) {
+            // The common case: a lone arrival is already in order.
+            None => {
+                out.push((at, first.node, first.pkt));
+                1
             }
-            self.drain_scratch.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-            out.extend(
-                self.drain_scratch
-                    .drain(..)
-                    .map(|(at, _, _, node, pkt)| (at, node, pkt)),
-            );
-        } else {
-            while let Some((at, arrival)) = self.arrivals.pop_due(now) {
-                out.push((at, arrival.node, arrival.pkt));
+            Some(second) => {
+                let batch = &mut self.drain_scratch;
+                batch.push((at, first));
+                batch.push(second);
+                while let Some(a) = self.arrivals.pop_due(now) {
+                    batch.push(a);
+                }
+                batch.sort_unstable_by_key(|(at, a)| (*at, a.key, a.seq));
+                let n = batch.len();
+                out.extend(batch.drain(..).map(|(at, a)| (at, a.node, a.pkt)));
+                n
             }
-        }
-        let drained = out.len() - before;
-        if drained > 0 {
-            self.metrics.in_flight.add(-(drained as i64));
-        }
+        };
+        self.metrics.in_flight.add(-(drained as i64));
     }
 
     /// Move this shard's pending cross-shard deliveries into `out`
-    /// (called by the barrier loop after each window). No-op in legacy
-    /// mode.
+    /// (called by the barrier loop after each window).
     pub fn drain_outbox_into(&mut self, out: &mut Vec<CrossPacket>) {
-        if let Some(sh) = &mut self.shard {
-            out.append(&mut sh.outbox);
-        }
+        out.append(&mut self.outbox);
     }
 
     /// Accept cross-shard deliveries produced by other shards' worlds.
@@ -403,14 +361,14 @@ impl NetWorld {
     /// order here irrelevant.
     ///
     /// # Panics
-    /// Panics if called on a legacy (non-sharded) world or handed a
-    /// packet owned by a different shard.
+    /// Panics if handed a packet owned by a different shard.
     pub fn inject_cross(&mut self, batch: impl IntoIterator<Item = CrossPacket>) {
-        let sh = self.shard.as_ref().expect("inject_cross on legacy world");
-        let shard = sh.shard;
         let mut n = 0i64;
         for m in batch {
-            assert_eq!(m.dst_shard, shard, "cross packet routed to wrong shard");
+            assert_eq!(
+                m.dst_shard, self.shard,
+                "cross packet routed to wrong shard"
+            );
             self.arrivals.insert(
                 m.at,
                 Arrival {

@@ -51,6 +51,7 @@ pub struct CellBricksWorld {
 }
 
 impl CellBricksWorld {
+    #[allow(dead_code)]
     pub fn build(seed: u64) -> CellBricksWorld {
         Self::build_with_plan(seed, 50_000_000)
     }
@@ -61,7 +62,13 @@ impl CellBricksWorld {
     /// detected and re-attached without harness help.
     #[allow(dead_code)]
     pub fn build_chaos(seed: u64) -> CellBricksWorld {
-        let mut w = Self::build(seed);
+        Self::build_lossy(seed, 0.0)
+    }
+
+    /// The chaos world with uniform random loss `loss` on both radios.
+    #[allow(dead_code)]
+    pub fn build_lossy(seed: u64, loss: f64) -> CellBricksWorld {
+        let mut w = Self::build_inner(seed, 50_000_000, loss);
         w.ue.set_recovery(RecoveryConfig {
             backoff_factor: 2.0,
             backoff_cap: SimDuration::from_secs(8),
@@ -72,7 +79,12 @@ impl CellBricksWorld {
     }
 
     /// Build with a specific subscriber plan MBR (bits/s).
+    #[allow(dead_code)]
     pub fn build_with_plan(seed: u64, plan_mbr_bps: u64) -> CellBricksWorld {
+        Self::build_inner(seed, plan_mbr_bps, 0.0)
+    }
+
+    fn build_inner(seed: u64, plan_mbr_bps: u64, radio_loss: f64) -> CellBricksWorld {
         let mut rng = SimRng::new(seed);
         let ca = CertificateAuthority::from_seed([0xCA; 32]);
         let broker_keys = BrokerKeys::generate(BROKER, &ca, &mut rng);
@@ -92,7 +104,7 @@ impl CellBricksWorld {
 
         let ms = SimDuration::from_millis;
         // Radios: 100 Mbps LTE-like cells.
-        let radio_cfg = LinkConfig::fixed_rate(ms(8), 30.0e6, ms(150));
+        let radio_cfg = LinkConfig::fixed_rate(ms(8), 30.0e6, ms(150)).with_loss(radio_loss);
         let radio1 = t.add_symmetric_link(ue_node, enb1_node, radio_cfg.clone());
         let radio2 = t.add_symmetric_link(ue_node, enb2_node, radio_cfg);
         let back1 = t.add_symmetric_link(enb1_node, agw1_node, LinkConfig::delay_only(ms(2)));

@@ -167,18 +167,22 @@ fn fig8_cb_dips_then_recovers_around_handover() {
     );
 }
 
+/// Per seed the claim flips on about one seed in ten, so it is checked
+/// on the sum over a fixed seed set, 1..=10, chosen before any result
+/// was seen.
 #[test]
 fn fig9_unmodified_wait_hurts_first_second() {
-    let handovers = vec![30.0, 60.0, 90.0];
-    let mk = |wait_ms: u64| {
+    let handovers = [30.0, 60.0, 90.0];
+    let mk = |seed: u64, wait_ms: u64| {
         let mut cfg = quick(
             RouteKind::Downtown,
             TimeOfDay::Night,
             Arch::CellBricks,
             Workload::Iperf,
         );
+        cfg.seed = seed;
         cfg.duration = SimDuration::from_secs(110);
-        cfg.forced_handovers_s = Some(handovers.clone());
+        cfg.forced_handovers_s = Some(handovers.to_vec());
         cfg.mptcp_wait = SimDuration::from_millis(wait_ms);
         let out = run(&cfg);
         let sums = out.iperf_series.unwrap();
@@ -188,8 +192,13 @@ fn fig9_unmodified_wait_hurts_first_second() {
             .map(|&h| sums[h as usize] + sums[h as usize + 1])
             .sum::<f64>()
     };
-    let no_wait = mk(0);
-    let full_wait = mk(500);
+    let (mut no_wait, mut full_wait) = (0.0, 0.0);
+    for seed in 1..=10 {
+        let (n, f) = (mk(seed, 0), mk(seed, 500));
+        eprintln!("fig9 seed {seed}: no wait {n} B, 500 ms wait {f} B");
+        no_wait += n;
+        full_wait += f;
+    }
     assert!(
         no_wait > full_wait,
         "removing the 500 ms wait must help right after handovers: {no_wait} vs {full_wait}"

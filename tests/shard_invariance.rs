@@ -8,7 +8,10 @@
 //! shards. Per-direction RNG streams plus canonical cross-shard arrival
 //! ordering make every endpoint see identical inputs in identical order
 //! regardless of the partition, so attach counters, attach-latency bits,
-//! transferred bytes and link counters must all match exactly.
+//! transferred bytes and link counters must all match exactly. A lossy
+//! scenario exercises the per-direction loss streams on a cross-shard
+//! link, and an unsplit world must equal the one-shard split that
+//! shares its stream seed.
 
 mod common;
 
@@ -17,19 +20,26 @@ use cellbricks::core::btelco::BTelcoGateway;
 use cellbricks::core::ue::UeDevice;
 use cellbricks::epc::enb::Enb;
 use cellbricks::net::{
-    make_cells, merged_link_stats, run_sharded, Endpoint, EndpointAddr, FaultPlan, LinkId, NodeId,
-    Packet, Router, ShardCell, ShardPlan,
+    make_cells, merged_link_stats, run_sharded, BurstLoss, Endpoint, EndpointAddr, FaultPlan,
+    LinkId, NetWorld, NodeId, Packet, Router, ShardCell, ShardPlan,
 };
-use cellbricks::sim::{SimDuration, SimTime};
+use cellbricks::sim::{SimDuration, SimRng, SimTime};
 use cellbricks::transport::Host;
 use common::{CellBricksWorld, AGW1_SIG, SERVER_IP, TELCO1};
+use rand::RngCore;
 
 const SECS: fn(u64) -> SimTime = SimTime::from_secs;
 
-/// One common stream seed for every run: the per-link-direction RNG
-/// streams derive from it identically in every shard, which is what
-/// makes different shard counts comparable at all.
-const STREAM_SEED: u64 = 0xCB5E_ED00;
+/// The world RNG seed an unsplit world is built from.
+const WORLD_RNG_SEED: u64 = 0xCB5E_ED00;
+
+/// One common stream seed for every split run — the one an unsplit world
+/// draws from [`WORLD_RNG_SEED`]. The per-link-direction RNG streams
+/// derive from it identically in every shard, which is what makes
+/// different shard counts comparable at all.
+fn stream_seed() -> u64 {
+    SimRng::new(WORLD_RNG_SEED).next_u64()
+}
 
 /// The CellBricks world rehosted on shard cells. The endpoints stay
 /// plain owned values; each `run_to` re-partitions `&mut` views of them
@@ -70,10 +80,32 @@ impl Endpoint for ServerEp<'_> {
 }
 
 /// Partition the two-bTelco world by region and split it into `shards`
-/// cells. The lookahead is pinned to 5 ms — the AGW↔internet latency,
-/// the smallest link that can cross shards under this partition — for
-/// every shard count, so all runs step through identical windows.
-fn sharded(mut w: CellBricksWorld, shards: usize) -> ShardedCb {
+/// cells.
+fn sharded(w: CellBricksWorld, shards: usize) -> ShardedCb {
+    rehost(w, shards, |world, plan| {
+        make_cells(world, plan, stream_seed())
+    })
+}
+
+/// The same world left unsplit: the one-shard world `NetWorld::new`
+/// builds from [`WORLD_RNG_SEED`], in a single cell.
+fn unsplit(w: CellBricksWorld) -> ShardedCb {
+    rehost(w, 1, |world, _| {
+        let world = NetWorld::new(world.topology().clone(), SimRng::new(WORLD_RNG_SEED));
+        vec![ShardCell::new(world)]
+    })
+}
+
+/// Partition the world by region into `shards` and host it on the cells
+/// `cells` builds. The lookahead is pinned to 5 ms — the AGW↔internet
+/// latency, the smallest link that can cross shards under this
+/// partition — for every shard count, so all runs step through
+/// identical windows.
+fn rehost(
+    mut w: CellBricksWorld,
+    shards: usize,
+    cells: impl FnOnce(NetWorld, &ShardPlan) -> Vec<ShardCell>,
+) -> ShardedCb {
     let enb1_node = Endpoint::node(&w.enb1);
     let enb2_node = Endpoint::node(&w.enb2);
     let t = w.world.topology_mut();
@@ -86,7 +118,7 @@ fn sharded(mut w: CellBricksWorld, shards: usize) -> ShardedCb {
     if let Some(l) = plan.lookahead(w.world.topology()) {
         assert!(lookahead <= l, "pinned lookahead must stay conservative");
     }
-    let cells = make_cells(w.world, &plan, STREAM_SEED);
+    let cells = cells(w.world, &plan);
     ShardedCb {
         cells,
         plan,
@@ -249,4 +281,49 @@ fn chaos_is_shard_count_invariant() {
     let four = chaos_outcome(37, 4);
     assert_eq!(one, two, "1 vs 2 shards");
     assert_eq!(one, four, "1 vs 4 shards");
+}
+
+/// Lossy scenario: 2% uniform loss on both radios — the UE↔eNB radio
+/// crosses shards at 2 and 4 shards — plus a Gilbert–Elliott burst
+/// window on the serving radio mid-transfer. Every loss and burst draw
+/// comes from a per-direction stream, so the same packets drop at any
+/// shard count.
+fn lossy_outcome(mut s: ShardedCb) -> (u64, u64, u64, u64, [u64; 6]) {
+    s.ue.start_attach(SimTime::ZERO, TELCO1, AGW1_SIG);
+    s.run_to(SECS(3));
+    assert!(s.ue.is_attached());
+    s.server.mp_listen(5001);
+    let conn =
+        s.ue.host
+            .mp_connect(s.cursor, EndpointAddr::new(SERVER_IP, 5001));
+    s.run_to(SECS(4));
+    let sc = s.server.take_accepted_mp()[0];
+    s.server.mp_set_bulk(s.cursor, sc);
+    let mut plan = FaultPlan::new();
+    plan.burst_loss_window(s.radio1, SECS(6), SECS(8), BurstLoss::flaky_cell());
+    s.set_faults(plan);
+    s.run_to(SECS(10));
+    let stats = s.radio1_stats();
+    assert!(
+        stats[1] > 0 && stats[3] > 0,
+        "loss bites both ways: {stats:?}"
+    );
+    let received = s.ue.host.mp(conn).data_received();
+    assert!(received > 100_000, "transfer moved: {received}");
+    (
+        s.ue.attaches,
+        s.ue.failures,
+        s.ue.attach_retries,
+        received,
+        stats,
+    )
+}
+
+#[test]
+fn lossy_links_are_shard_count_invariant() {
+    let lossy = || CellBricksWorld::build_lossy(41, 0.02);
+    let one = lossy_outcome(sharded(lossy(), 1));
+    assert_eq!(lossy_outcome(sharded(lossy(), 2)), one, "1 vs 2 shards");
+    assert_eq!(lossy_outcome(sharded(lossy(), 4)), one, "1 vs 4 shards");
+    assert_eq!(lossy_outcome(unsplit(lossy())), one, "unsplit vs 1 shard");
 }
