@@ -262,6 +262,11 @@ rm -rf "$wscratch"
 echo
 echo "==> exp_brokerd gates OK (committed c16 $wk au/s, win ${ww}x100; fresh $fresh_wire au/s, bad_frames 0, lost 0)"
 
+# The broker_server example runs the TCP serve loop and the TCP client
+# end to end (a verified grant, a refused replay, a windowed burst); it
+# asserts its own outcome.
+run cargo run --release -q --example broker_server
+
 # Multi-core brokerd scaling gate (PR 10): with >= 4 real cores, the
 # W=4 crypto pipeline must at least double W=1 served-auth/s at C=16.
 # Both rates come from fresh full runs on the same box, so the ratio

@@ -1,45 +1,48 @@
 //! `brokerd` — the CellBricks broker as a real wire service.
 //!
 //! The paper's broker is "an ordinary online service" (§3): no cellular
-//! infrastructure, just a daemon behind a socket. This binary runs the
-//! [`cellbricks_core::broker_server`] pipeline in one of two modes with
-//! length-prefixed [`BrokerWire`] frames over UDP (default) or TCP
-//! (`--tcp`):
+//! infrastructure, just a daemon behind a socket. This binary binds
+//! `--listen`, provisions the deterministic `--seed`/`--n` population,
+//! and runs the [`cellbricks_core::broker_server`] pipeline — adaptive
+//! batch window on the I/O stage, `--workers` crypto threads (default:
+//! cores − 1) — with length-prefixed [`BrokerWire`] frames over UDP
+//! (default) or TCP (`--tcp`), for `--duration` seconds (0 = forever).
+//! Counters print on exit, and the metrics land in
+//! `results/brokerd.metrics.json`.
 //!
-//! * **Server** (default): bind `--listen`, provision the deterministic
-//!   `--seed`/`--n` population, and serve the staged pipeline — adaptive
-//!   batch window on the I/O stage, `--workers` crypto threads (default:
-//!   cores − 1) — for `--duration`
-//!   seconds (0 = forever). Counters print on exit.
-//! * **Load generator** (`--connect`): `--clients C` sender threads,
-//!   each with its own socket, disjoint UE identities from the *same*
-//!   seed path, and `--burst N` pre-built requests pumped through a
-//!   `--window W` pipeline (timeout retransmit on UDP; TCP is reliable).
-//!
-//! Both sides derive every key from (`--seed`, `--n`), so no state is
-//! exchanged out of band — start a server in one terminal and point the
-//! load generator at it from another:
+//! Server and load generator derive every key from the seed, and the
+//! default `--n 64` population is a superset of the one `exp_brokerd`
+//! uses, so no state is exchanged out of band — start the daemon in one
+//! terminal and point the load generator at it from another:
 //!
 //! ```text
-//! brokerd --listen 127.0.0.1:7701 --n 64 --duration 30 --workers 4
-//! brokerd --connect 127.0.0.1:7701 --n 64 --clients 4 --burst 100
+//! brokerd --listen 127.0.0.1:7701 --duration 60 --workers 4
+//! exp_brokerd --client-only --connect 127.0.0.1:7701
 //! ```
+//!
+//! Usage: `brokerd [--listen ADDR] [--tcp] [--seed S] [--n N]
+//!         [--workers W] [--duration SECS]`
+//!
+//! [`BrokerWire`]: cellbricks_core::brokerd::BrokerWire
 
 use cellbricks_bench::{arg_flag, arg_str, arg_u64};
-use cellbricks_core::broker_server::{
-    self, build_requests, population, run_client, run_client_tcp, ClientConfig, ServeConfig,
-};
-use cellbricks_sim::SimRng;
-use cellbricks_telemetry as telemetry;
+use cellbricks_core::broker_server::{self, population, ServeConfig};
 use std::net::{TcpListener, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: usize, tcp: bool) {
+fn main() {
+    cellbricks_bench::telemetry_init();
+    let seed = arg_u64("--seed", 42);
+    let n_ues = arg_u64("--n", 64) as usize;
+    let tcp = arg_flag("--tcp");
+    let listen = arg_str("--listen").unwrap_or_else(|| "127.0.0.1:7701".to_string());
+    let duration_s = arg_u64("--duration", 0);
+    let workers = arg_u64("--workers", broker_server::default_workers() as u64) as usize;
+
     let pop = population(seed, n_ues);
-    // Grant rng, not key material.
-    let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x6b72_6f6b), workers);
+    let mut server = pop.server_with_workers(cellbricks_bench::grant_rng(seed), workers);
     let stop = Arc::new(AtomicBool::new(false));
     if duration_s > 0 {
         let stop_timer = Arc::clone(&stop);
@@ -48,149 +51,25 @@ fn serve_mode(listen: &str, seed: u64, n_ues: usize, duration_s: u64, workers: u
             stop_timer.store(true, Ordering::Relaxed);
         });
     }
+    let serving = format!(
+        "brokerd: serving {} subscribers (seed {seed}, {} workers) on",
+        server.subscriber_count(),
+        server.workers()
+    );
     if tcp {
-        let listener = TcpListener::bind(listen).expect("bind listen address");
+        let listener = TcpListener::bind(&listen).expect("bind listen address");
         println!(
-            "brokerd: serving {} subscribers on tcp {} (seed {seed}, {} workers)",
-            server.subscriber_count(),
-            listener.local_addr().expect("local addr"),
-            server.workers(),
+            "{serving} tcp {}",
+            listener.local_addr().expect("local addr")
         );
         broker_server::serve_tcp(&mut server, &listener, &stop, &ServeConfig::default())
             .expect("serve loop");
     } else {
-        let sock = UdpSocket::bind(listen).expect("bind listen address");
-        println!(
-            "brokerd: serving {} subscribers on udp {} (seed {seed}, {} workers)",
-            server.subscriber_count(),
-            sock.local_addr().expect("local addr"),
-            server.workers(),
-        );
+        let sock = UdpSocket::bind(&listen).expect("bind listen address");
+        println!("{serving} udp {}", sock.local_addr().expect("local addr"));
         broker_server::serve(&mut server, &sock, &stop, &ServeConfig::default())
             .expect("serve loop");
     }
-    let c = server.counters;
-    println!(
-        "brokerd: served {} auths · {} refused · {} bad frames · {} reports · {} batches",
-        c.served_auths, c.auth_errs, c.bad_frames, c.wire_reports, c.batches
-    );
-    let batch = telemetry::histogram("brokerd.batch_size").snapshot();
-    if batch.count() > 0 {
-        println!(
-            "brokerd: batch size p50 {} p99 {} max {}",
-            batch.value_at_quantile(0.50),
-            batch.value_at_quantile(0.99),
-            batch.max()
-        );
-    }
-    let wait = telemetry::histogram("brokerd.batch_wait_ns").snapshot();
-    if wait.count() > 0 {
-        println!(
-            "brokerd: batch wait p50 {} us p99 {} us · window {} us",
-            wait.value_at_quantile(0.50) / 1000,
-            wait.value_at_quantile(0.99) / 1000,
-            telemetry::gauge("brokerd.batch_window_ns").get() / 1000,
-        );
-    }
-    let util = server.worker_utilization_permille();
-    if !util.is_empty() {
-        println!("brokerd: worker utilization (permille): {util:?}");
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn loadgen_mode(
-    connect: &str,
-    seed: u64,
-    n_ues: usize,
-    clients: usize,
-    burst: usize,
-    window: usize,
-    tcp: bool,
-) {
-    let server_addr = connect.parse().expect("server address");
-    let pop = Arc::new(population(seed, n_ues));
-    assert!(
-        clients <= n_ues,
-        "need at least one UE identity per client (--n >= --clients)"
-    );
-    println!(
-        "brokerd loadgen: {clients} clients x {burst} requests, window {window}, -> {} {server_addr}",
-        if tcp { "tcp" } else { "udp" }
-    );
-    // Pre-build every request before the timed window opens: request
-    // construction is real crypto and must not dilute the server rate.
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let pop = Arc::clone(&pop);
-            std::thread::spawn(move || {
-                let ues: Vec<usize> = (c..pop.ues.len()).step_by(clients).collect();
-                let mut rng = SimRng::new(seed ^ 0xc11e_0000 ^ c as u64);
-                let requests = build_requests(&pop, &ues, burst, &mut rng);
-                (c, requests)
-            })
-        })
-        .collect();
-    let built: Vec<(usize, Vec<Vec<u8>>)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("builder thread"))
-        .collect();
-
-    let start = Instant::now();
-    let runners: Vec<_> = built
-        .into_iter()
-        .map(|(c, requests)| {
-            std::thread::spawn(move || {
-                let cfg = ClientConfig {
-                    server: server_addr,
-                    window,
-                    retransmit_after: Duration::from_millis(500),
-                    deadline: Duration::from_secs(120),
-                    rtt_hist: format!("brokerd.loadgen.rtt_us.c{c}"),
-                };
-                if tcp {
-                    run_client_tcp(&cfg, &requests).expect("client socket")
-                } else {
-                    run_client(&cfg, &requests).expect("client socket")
-                }
-            })
-        })
-        .collect();
-    let mut ok = 0u64;
-    let mut refused = 0u64;
-    let mut retransmits = 0u64;
-    let mut lost = 0u64;
-    for r in runners {
-        let o = r.join().expect("client thread");
-        ok += o.ok;
-        refused += o.refused;
-        retransmits += o.retransmits;
-        lost += o.lost;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let served = ok + refused;
-    println!(
-        "brokerd loadgen: {served} served in {secs:.3}s = {:.0} auth/s \
-         (ok {ok}, refused {refused}, retransmits {retransmits}, lost {lost})",
-        served as f64 / secs
-    );
-    assert_eq!(lost, 0, "server must answer every request");
-}
-
-fn main() {
-    cellbricks_bench::telemetry_init();
-    let seed = arg_u64("--seed", 42);
-    let n_ues = arg_u64("--n", 64) as usize;
-    let tcp = arg_flag("--tcp");
-    if let Some(connect) = arg_str("--connect") {
-        let clients = arg_u64("--clients", 4) as usize;
-        let burst = arg_u64("--burst", 100) as usize;
-        let window = arg_u64("--window", 8) as usize;
-        loadgen_mode(&connect, seed, n_ues, clients, burst, window, tcp);
-    } else {
-        let listen = arg_str("--listen").unwrap_or_else(|| "127.0.0.1:7701".to_string());
-        let duration_s = arg_u64("--duration", 0);
-        let workers = arg_u64("--workers", broker_server::default_workers() as u64) as usize;
-        serve_mode(&listen, seed, n_ues, duration_s, workers, tcp);
-    }
+    cellbricks_bench::print_server_stats(&server);
+    cellbricks_bench::telemetry_finish("brokerd");
 }

@@ -22,11 +22,12 @@
 //! then drives the stream transport, including a Report frame far larger
 //! than any UDP datagram.
 //!
-//! Multi-process runs: `--server-only [--listen A] [--duration D]` runs
-//! just the serve loop; `--client-only --connect A` runs just the
-//! measurement protocol against a remote server (its metrics land under
-//! `exp_brokerd_client` so the gated combined-run file is never
-//! clobbered).
+//! Multi-process runs: start the daemon with `brokerd --listen A`, then
+//! `--client-only --connect A` runs just the measurement protocol against
+//! it (its metrics land under `exp_brokerd_client` so the gated
+//! combined-run file is never clobbered). `brokerd`'s default population
+//! is a superset of this binary's, from the same seed and grant RNG, so
+//! the daemon serves exactly what the combined run's server thread does.
 //!
 //! Gauges land in `results/exp_brokerd.metrics.json`:
 //! `exp_brokerd.c<C>.served_per_sec`, `.p50_us`, `.p99_us`,
@@ -36,12 +37,12 @@
 //!
 //! Usage: `cargo run --release -p cellbricks-bench --bin exp_brokerd
 //!         [--seed S] [--burst B] [--reps R] [--smoke] [--workers W]
-//!         [--server-only | --client-only --connect ADDR]`
+//!         [--client-only --connect ADDR]`
 
 use cellbricks_bench::{arg_flag, arg_str, arg_u64};
 use cellbricks_core::broker_server::{
     self, build_requests, population, run_client, run_client_tcp, send_report_tcp, ClientConfig,
-    Population, ServeConfig,
+    ClientOutcome, Population, ServeConfig,
 };
 use cellbricks_core::brokerd::BrokerWire;
 use cellbricks_net::wire::read_frame;
@@ -51,7 +52,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Default)]
 struct Level {
@@ -61,73 +62,58 @@ struct Level {
     retransmits: u64,
 }
 
-/// One rep of one concurrency level: C clients pump `burst` requests
-/// each; the rate is total served / wall time of the slowest client.
-fn run_once(
-    pop: &Arc<Population>,
+/// Pre-build `burst` requests for each of `clients` load generators
+/// (outside the timed window), client `c` over its own UE identities
+/// with nonces from `nonce_seed ^ (c << 8)`; then pump each list through
+/// `run` on its own thread, latencies into `rtt_hist(c)`. Every request
+/// must be answered. Returns the summed outcome and the wall time of the
+/// slowest client.
+fn run_clients(
+    pop: &Population,
     server: SocketAddr,
-    clients: usize,
-    burst: usize,
-    rep: usize,
-    seed: u64,
-    acc: &mut Level,
-) {
-    // C=1 is the single-request-per-batch baseline the batching win is
-    // measured against: strict ping-pong, one request per readiness batch.
-    let window = if clients == 1 { 1 } else { 8 };
-    let hist_name = format!("exp_brokerd.rtt_us.c{clients}");
-    // Build outside the timed window; fresh nonces every rep.
+    (clients, burst, window): (usize, usize, usize),
+    nonce_seed: u64,
+    rtt_hist: impl Fn(usize) -> String,
+    run: fn(&ClientConfig, &[Vec<u8>]) -> std::io::Result<ClientOutcome>,
+) -> (ClientOutcome, f64) {
     let built: Vec<Vec<Vec<u8>>> = (0..clients)
         .map(|c| {
             let ues: Vec<usize> = (c..pop.ues.len()).step_by(clients).collect();
-            // Mix in the level, rep and client: the server's anti-replay
-            // window spans the whole experiment, so every build must
-            // draw a nonce stream no other (level, rep, client) drew.
-            let mut rng = SimRng::new(
-                seed ^ ((clients as u64) << 48) ^ ((rep as u64) << 40) ^ ((c as u64) << 8) ^ 0xb0,
-            );
+            let mut rng = SimRng::new(nonce_seed ^ ((c as u64) << 8));
             build_requests(pop, &ues, burst, &mut rng)
         })
         .collect();
     let start = Instant::now();
     let runners: Vec<_> = built
         .into_iter()
-        .map(|requests| {
-            let hist_name = hist_name.clone();
-            std::thread::spawn(move || {
-                run_client(
-                    &ClientConfig {
-                        server,
-                        window,
-                        retransmit_after: Duration::from_millis(500),
-                        deadline: Duration::from_secs(120),
-                        rtt_hist: hist_name,
-                    },
-                    &requests,
-                )
-                .expect("client socket")
-            })
+        .enumerate()
+        .map(|(c, requests)| {
+            let cfg = ClientConfig {
+                server,
+                window,
+                rtt_hist: rtt_hist(c),
+            };
+            std::thread::spawn(move || run(&cfg, &requests).expect("client socket"))
         })
         .collect();
-    let mut served = 0u64;
+    let mut sum = ClientOutcome::default();
     for r in runners {
         let o = r.join().expect("client thread");
-        assert_eq!(o.lost, 0, "C={clients}: every request must be answered");
-        served += o.ok + o.refused;
-        acc.refused += o.refused;
-        acc.retransmits += o.retransmits;
+        assert_eq!(o.lost, 0, "every request must be answered");
+        sum.ok += o.ok;
+        sum.refused += o.refused;
+        sum.retransmits += o.retransmits;
     }
     let secs = start.elapsed().as_secs_f64();
-    assert_eq!(served as usize, clients * burst);
-    acc.window = window;
-    acc.best_rate = acc.best_rate.max(served as f64 / secs);
+    assert_eq!((sum.ok + sum.refused) as usize, clients * burst);
+    (sum, secs)
 }
 
 /// The rep-major measurement protocol against a serving address: prints
 /// the per-level table and sets the `exp_brokerd.c<C>.*` gauges. Returns
 /// the batching win (highest-C rate over C=1 rate).
 fn measure(
-    pop: &Arc<Population>,
+    pop: &Population,
     addr: SocketAddr,
     levels: &[usize],
     reps: usize,
@@ -150,8 +136,26 @@ fn measure(
     // with like.
     let mut rows: Vec<Level> = levels.iter().map(|_| Level::default()).collect();
     for rep in 0..reps {
-        for (&clients, acc) in levels.iter().zip(rows.iter_mut()) {
-            run_once(pop, addr, clients, burst, rep, seed, acc);
+        for (&clients, row) in levels.iter().zip(rows.iter_mut()) {
+            // C=1 is the single-request-per-batch baseline the batching
+            // win is measured against: strict ping-pong, one request per
+            // readiness batch.
+            row.window = if clients == 1 { 1 } else { 8 };
+            // Mix in the level and rep: the server's anti-replay window
+            // spans the whole experiment, so every build must draw a
+            // nonce stream no other (level, rep, client) drew.
+            let nonces = seed ^ ((clients as u64) << 48) ^ ((rep as u64) << 40) ^ 0xb0;
+            let (o, secs) = run_clients(
+                pop,
+                addr,
+                (clients, burst, row.window),
+                nonces,
+                |_| format!("exp_brokerd.rtt_us.c{clients}"),
+                run_client,
+            );
+            row.refused += o.refused;
+            row.retransmits += o.retransmits;
+            row.best_rate = row.best_rate.max((o.ok + o.refused) as f64 / secs);
         }
     }
     let mut base = 0.0_f64;
@@ -185,7 +189,7 @@ fn measure(
 /// The TCP stream-transport smoke: a fresh pooled server on a loopback
 /// listener, two windowed clients, and one Report frame far larger than
 /// the UDP receive buffer — the frame a datagram transport cannot carry.
-fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
+fn tcp_smoke(pop: &Population, seed: u64, workers: usize, burst: usize) {
     let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x7c97), workers);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let addr = listener.local_addr().expect("local addr");
@@ -212,37 +216,17 @@ fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
         "tcp: the request behind the report must be served"
     );
 
-    let clients = 2usize;
-    let runners: Vec<_> = (0..clients)
-        .map(|c| {
-            let pop = Arc::clone(pop);
-            std::thread::spawn(move || {
-                let ues: Vec<usize> = (c..pop.ues.len()).step_by(clients).collect();
-                let mut rng = SimRng::new(seed ^ 0x7cc0 ^ ((c as u64) << 8));
-                let requests = build_requests(&pop, &ues, burst, &mut rng);
-                run_client_tcp(
-                    &ClientConfig {
-                        server: addr,
-                        window: 8,
-                        retransmit_after: Duration::from_millis(500),
-                        deadline: Duration::from_secs(60),
-                        rtt_hist: format!("exp_brokerd.tcp_rtt_us.c{c}"),
-                    },
-                    &requests,
-                )
-                .expect("tcp client")
-            })
-        })
-        .collect();
-    let mut served = 0u64;
-    for r in runners {
-        let o = r.join().expect("tcp client thread");
-        assert_eq!(o.lost, 0, "tcp: every request must be answered");
-        served += o.ok + o.refused;
-    }
+    let (o, _) = run_clients(
+        pop,
+        addr,
+        (2, burst, 8),
+        seed ^ 0x7cc0,
+        |c| format!("exp_brokerd.tcp_rtt_us.c{c}"),
+        run_client_tcp,
+    );
+    let served = o.ok + o.refused;
     stop.store(true, Ordering::Relaxed);
     let server = handle.join().expect("tcp server thread");
-    assert_eq!(served as usize, clients * burst);
     assert_eq!(
         server.counters.bad_frames, 0,
         "tcp smoke sends valid frames"
@@ -258,82 +242,6 @@ fn tcp_smoke(pop: &Arc<Population>, seed: u64, workers: usize, burst: usize) {
     telemetry::gauge("exp_brokerd.tcp_smoke_served").set(served as i64);
 }
 
-fn server_only(seed: u64, n_ues: usize, workers: usize) {
-    let listen = arg_str("--listen").unwrap_or_else(|| "127.0.0.1:7791".to_string());
-    let duration_s = arg_u64("--duration", 0);
-    let pop = population(seed, n_ues);
-    let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x6b72_6f6b), workers);
-    let sock = UdpSocket::bind(&*listen).expect("bind listen address");
-    println!(
-        "exp_brokerd --server-only: {} subscribers on {} (seed {seed}, {} workers, \
-         duration {duration_s}s)",
-        server.subscriber_count(),
-        sock.local_addr().expect("local addr"),
-        server.workers(),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    if duration_s > 0 {
-        let stop_timer = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs(duration_s));
-            stop_timer.store(true, Ordering::Relaxed);
-        });
-    }
-    broker_server::serve(&mut server, &sock, &stop, &ServeConfig::default()).expect("serve loop");
-    print_server_stats(&server);
-    cellbricks_bench::telemetry_finish("exp_brokerd_server");
-}
-
-fn print_server_stats(server: &cellbricks_core::BrokerServer) {
-    let c = server.counters;
-    let batch = telemetry::histogram("brokerd.batch_size").snapshot();
-    println!(
-        "server: {} served · {} refused · {} bad frames · batch size \
-         p50 {} p99 {} max {}",
-        c.served_auths,
-        c.auth_errs,
-        c.bad_frames,
-        batch.value_at_quantile(0.50),
-        batch.value_at_quantile(0.99),
-        batch.max()
-    );
-    // The batch-window controller and worker pool, next to the rate they
-    // produce: how long batches waited to close, how deep the worker
-    // queues ran, and how busy each crypto worker was.
-    let wait = telemetry::histogram("brokerd.batch_wait_ns").snapshot();
-    let depth = telemetry::histogram("brokerd.queue_depth").snapshot();
-    println!(
-        "pipeline: batch wait p50 {} us p99 {} us · window {} us · \
-         queue depth p50 {} max {} · {} workers",
-        wait.value_at_quantile(0.50) / 1000,
-        wait.value_at_quantile(0.99) / 1000,
-        telemetry::gauge("brokerd.batch_window_ns").get() / 1000,
-        depth.value_at_quantile(0.50),
-        depth.max(),
-        server.workers(),
-    );
-    let util = server.worker_utilization_permille();
-    if !util.is_empty() {
-        println!("workers: utilization (permille of wall clock): {util:?}");
-    }
-    // The process-global verifier/DH caches are what the wire server
-    // shares across connections; their hit rates belong next to the
-    // served-auth/s they explain.
-    let cache = |name: &str| telemetry::counter(format!("crypto.{name}")).get();
-    println!(
-        "caches: keycache {}/{} hit/miss · sigmemo {}/{} · dhcache {}/{} \
-         ({} built, {} promoted)",
-        cache("keycache.hit"),
-        cache("keycache.miss"),
-        cache("sigmemo.hit"),
-        cache("sigmemo.miss"),
-        cache("dhcache.hit"),
-        cache("dhcache.miss"),
-        cache("dhcache.build"),
-        cache("dhcache.promote"),
-    );
-}
-
 fn main() {
     cellbricks_bench::telemetry_init();
     let seed = arg_u64("--seed", 42);
@@ -345,16 +253,12 @@ fn main() {
     let workers = arg_u64("--workers", broker_server::default_workers() as u64) as usize;
     telemetry::gauge("exp_brokerd.workers").set(workers as i64);
 
-    if arg_flag("--server-only") {
-        server_only(seed, n_ues, workers);
-        return;
-    }
     if arg_flag("--client-only") {
         let addr: SocketAddr = arg_str("--connect")
             .expect("--client-only needs --connect ADDR")
             .parse()
             .expect("server address");
-        let pop = Arc::new(population(seed, n_ues));
+        let pop = population(seed, n_ues);
         measure(&pop, addr, levels, reps, burst, seed);
         // A separate metrics file: the CI-gated one holds combined runs.
         cellbricks_bench::telemetry_finish("exp_brokerd_client");
@@ -364,8 +268,8 @@ fn main() {
     // Combined mode: one server thread for the whole experiment, like a
     // real daemon — the verifier-key caches and nonce window stay warm
     // across levels.
-    let pop = Arc::new(population(seed, n_ues));
-    let mut server = pop.server_with_workers(SimRng::new(seed ^ 0x6b72_6f6b), workers);
+    let pop = population(seed, n_ues);
+    let mut server = pop.server_with_workers(cellbricks_bench::grant_rng(seed), workers);
     let sock = UdpSocket::bind("127.0.0.1:0").expect("bind loopback");
     let addr = sock.local_addr().expect("local addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -380,7 +284,7 @@ fn main() {
 
     stop.store(true, Ordering::Relaxed);
     let server = server_thread.join().expect("server thread");
-    print_server_stats(&server);
+    cellbricks_bench::print_server_stats(&server);
     let c = server.counters;
     telemetry::gauge("exp_brokerd.bad_frames").set(c.bad_frames as i64);
     telemetry::gauge("exp_brokerd.served_total").set(c.served_auths as i64);

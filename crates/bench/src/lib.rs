@@ -19,9 +19,11 @@
 #![warn(missing_docs)]
 
 use cellbricks_apps::emulation::{run, Arch, DriveOutcome, EmulationConfig, Workload};
+use cellbricks_core::BrokerServer;
 use cellbricks_net::TimeOfDay;
 use cellbricks_ran::RouteKind;
-use cellbricks_sim::SimDuration;
+use cellbricks_sim::{SimDuration, SimRng};
+use cellbricks_telemetry as telemetry;
 
 pub mod alloc_count;
 
@@ -119,6 +121,59 @@ pub fn telemetry_finish(exp: &str) {
         Ok(()) => eprintln!("{exp}: wrote {trace}"),
         Err(e) => eprintln!("{exp}: failed to write {trace}: {e}"),
     }
+}
+
+/// The grant RNG of the wire server that `brokerd` runs and
+/// `exp_brokerd` measures. Key material comes from the seed's population
+/// (`broker_server::population`); this stream draws only the grants.
+#[must_use]
+pub fn grant_rng(seed: u64) -> SimRng {
+    SimRng::new(seed ^ 0x6b72_6f6b)
+}
+
+/// Print a wire server's statistics after its serve loop returns: its
+/// counters; the batch window and worker pool behind them, where a
+/// scaling regression reads as starved workers or a collapsed window;
+/// and the process-global crypto caches the server shares across
+/// connections, whose hit rates explain served-auth/s.
+pub fn print_server_stats(server: &BrokerServer) {
+    let c = server.counters;
+    println!(
+        "server: {} served · {} refused · {} bad frames · {} reports · {} batches",
+        c.served_auths, c.auth_errs, c.bad_frames, c.wire_reports, c.batches
+    );
+    let [batch, wait, depth] = ["batch_size", "batch_wait_ns", "queue_depth"]
+        .map(|name| telemetry::histogram(format!("brokerd.{name}")).snapshot());
+    println!(
+        "pipeline: batch size p50 {} p99 {} max {} · batch wait p50 {} us p99 {} us · \
+         window {} us · queue depth p50 {} max {}",
+        batch.value_at_quantile(0.50),
+        batch.value_at_quantile(0.99),
+        batch.max(),
+        wait.value_at_quantile(0.50) / 1000,
+        wait.value_at_quantile(0.99) / 1000,
+        telemetry::gauge("brokerd.batch_window_ns").get() / 1000,
+        depth.value_at_quantile(0.50),
+        depth.max(),
+    );
+    println!(
+        "workers: {} · utilization (permille of wall clock) {:?}",
+        server.workers(),
+        server.worker_utilization_permille()
+    );
+    let cache = |name: &str| telemetry::counter(format!("crypto.{name}")).get();
+    println!(
+        "caches: keycache {}/{} hit/miss · sigmemo {}/{} · dhcache {}/{} \
+         ({} built, {} promoted)",
+        cache("keycache.hit"),
+        cache("keycache.miss"),
+        cache("sigmemo.hit"),
+        cache("sigmemo.miss"),
+        cache("dhcache.hit"),
+        cache("dhcache.miss"),
+        cache("dhcache.build"),
+        cache("dhcache.promote"),
+    );
 }
 
 /// One fully-specified Table 1 cell runner.

@@ -10,15 +10,15 @@
 //! crypto bill spreads over a pool of worker threads while the protocol
 //! semantics stay strictly sequential:
 //!
-//! * **I/O stage** ([`serve`] over UDP, [`serve_tcp`] over TCP): drain
-//!   the transport, frame + wire decode, and flush replies. Batch
-//!   boundaries come from an adaptive batch-window controller
-//!   ([`ServeConfig`]): a batch closes when it reaches `batch_target`
-//!   requests or when its age exceeds a window that is continuously
-//!   re-derived from the measured per-batch service time against a
-//!   reply-latency SLO — continuous-batching style, so the window widens
-//!   when the server is fast (buying bigger batches) and collapses when
-//!   service time already eats the SLO.
+//! * **I/O stage** ([`serve`] over UDP, [`serve_tcp`] over TCP): one
+//!   batch loop over two frame sources — gather frames, decode them, and
+//!   flush replies. Batch boundaries come from an adaptive batch-window
+//!   controller: a batch closes when it reaches `BATCH_TARGET` requests
+//!   or when its age exceeds a window that is continuously re-derived
+//!   from the measured per-batch service time against a reply-latency
+//!   SLO — continuous-batching style, so the window widens when the
+//!   server is fast (buying bigger batches) and collapses when service
+//!   time already eats the SLO.
 //! * **Decision** ([`BrokerCore::decide`] over the whole batch): its pure
 //!   check and grant phases scatter over a pool of W `std::thread`
 //!   crypto workers (bounded channels, no tokio) in contiguous chunks
@@ -37,7 +37,7 @@
 //! anti-replay window, the session-id allocator, reputation policy, and
 //! the decision itself. A fresh wire server's reputation admits every
 //! bTelco and suspects no one; nothing on the wire feeds it. Wire-only:
-//! framing, the serve loops and the crypto pool. Sim-only: event timing,
+//! framing, the serve loop and the crypto pool. Sim-only: event timing,
 //! fault windows, and billing. Traffic reports arriving on the wire are
 //! counted and dropped, for a security reason: settlement marks a
 //! session's user suspect on any unverifiable UE report, and session ids
@@ -58,7 +58,7 @@ use cellbricks_telemetry as telemetry;
 use polling::Poller;
 use std::collections::HashMap;
 use std::io;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,6 +102,9 @@ pub struct WireCounters {
     pub unexpected_frames: u64,
     /// Readiness batches processed (including request-free ones).
     pub batches: u64,
+    /// TCP connections shut down at accept because no reader thread
+    /// could be started for them.
+    pub tcp_refused: u64,
 }
 
 /// Pick the worker count: `available_parallelism - 1` (one core reserved
@@ -122,6 +125,10 @@ pub struct BrokerServer {
     state: BrokerState,
     pool: CryptoPool,
     bad_frames: telemetry::Counter,
+    wire_reports: telemetry::Counter,
+    unexpected_frames: telemetry::Counter,
+    tcp_refused: telemetry::Counter,
+    batch_size: telemetry::Histogram,
     /// Server-loop counters (also exported as telemetry).
     pub counters: WireCounters,
 }
@@ -280,6 +287,10 @@ impl BrokerServer {
             state: BrokerState::new(1),
             pool: CryptoPool::new(workers),
             bad_frames: telemetry::counter("core.brokerd.bad_frames"),
+            wire_reports: telemetry::counter("brokerd.wire_reports"),
+            unexpected_frames: telemetry::counter("brokerd.unexpected_frames"),
+            tcp_refused: telemetry::counter("core.brokerd.tcp_refused"),
+            batch_size: telemetry::histogram("brokerd.batch_size"),
             counters: WireCounters::default(),
         }
     }
@@ -346,16 +357,16 @@ impl BrokerServer {
                 Some(BrokerWire::AuthReq { req_id, req_t }) => reqs.push((slot, req_id, req_t)),
                 Some(BrokerWire::Report { .. }) => {
                     self.counters.wire_reports += 1;
-                    telemetry::counter("brokerd.wire_reports").inc();
+                    self.wire_reports.inc();
                 }
                 Some(_) => {
                     self.counters.unexpected_frames += 1;
-                    telemetry::counter("brokerd.unexpected_frames").inc();
+                    self.unexpected_frames.inc();
                 }
                 None => self.bad_frame(),
             }
         }
-        telemetry::histogram("brokerd.batch_size").record(reqs.len() as u64);
+        self.batch_size.record(reqs.len() as u64);
 
         let req_ts: Vec<&[u8]> = reqs.iter().map(|(_, _, req_t)| &req_t[..]).collect();
         let decisions = self.core.decide(&mut self.state, &req_ts, &self.pool);
@@ -378,87 +389,79 @@ impl BrokerServer {
     }
 }
 
-/// Tuning for the serve loops ([`serve`], [`serve_tcp`]): the adaptive
-/// batch-window controller.
-///
-/// A batch closes when it reaches `batch_target` requests or when its
-/// age exceeds the current window. The window is re-derived after every
-/// batch as `clamp(slo − service_ewma, window_min, window_max)` — the
-/// slack the SLO leaves after the (smoothed) measured service time. When
-/// the server is fast the window widens, buying bigger batches per
-/// wakeup (better verify amortization); when batches already take the
-/// whole SLO to serve, the window collapses to `window_min` and the loop
-/// degenerates to drain-and-go.
-pub struct ServeConfig {
-    /// Readiness-wait slice between checks of the stop flag.
-    pub wait_timeout: Duration,
-    /// Hard cap on datagrams per batch (bounds the receive arena).
-    pub max_batch: usize,
-    /// Close the batch early once it holds this many messages.
-    pub batch_target: usize,
-    /// Reply-latency budget the window controller works against.
-    pub slo: Duration,
-    /// Window floor: never adapt below this.
-    pub window_min: Duration,
-    /// Window ceiling: never hold a batch open longer than this.
-    pub window_max: Duration,
-}
+/// Serve-loop configuration. It has no settable values: the batch
+/// window's bounds and SLO are module constants, the same for every
+/// deployment. The type stays so that existing `serve(…,
+/// &ServeConfig::default())` callers compile unchanged.
+#[derive(Default)]
+pub struct ServeConfig {}
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            wait_timeout: Duration::from_millis(20),
-            max_batch: 1024,
-            batch_target: 64,
-            slo: Duration::from_micros(600),
-            window_min: Duration::from_micros(20),
-            window_max: Duration::from_micros(250),
-        }
-    }
-}
+/// Readiness-wait slice between checks of the stop flag.
+const WAIT_TIMEOUT: Duration = Duration::from_millis(20);
+
+/// Hard cap on frames per batch.
+const MAX_BATCH: usize = 1024;
+
+/// Close the batch early once it holds this many frames.
+const BATCH_TARGET: usize = 64;
+
+/// Reply-latency budget the window controller works against.
+const SLO: Duration = Duration::from_micros(600);
+
+/// Window floor: never adapt below this.
+const WINDOW_MIN: Duration = Duration::from_micros(20);
+
+/// Window ceiling: never hold a batch open longer than this.
+const WINDOW_MAX: Duration = Duration::from_micros(250);
 
 /// EWMA smoothing for the measured per-batch service time.
 const SERVICE_EWMA_ALPHA: f64 = 0.25;
 
-/// Shortest kernel wait the gather loop will request: sub-microsecond
-/// read timeouts risk truncating to a zero timeval (= block forever).
-const MIN_POLL: Duration = Duration::from_micros(10);
-
 /// Consecutive dry gather passes (each separated by a `yield_now`) after
-/// which the UDP loop closes the batch before the window expires. A dry
-/// socket that stays dry across several yields means nothing is in
-/// flight — holding the batch open buys no amortization, only latency
-/// (continuous batching dispatches when the queue empties). The yields
-/// matter on a single core: they are what hand peers the CPU to enqueue
-/// the next datagram before the verdict is final.
+/// which the loop closes the batch before the window expires. A source
+/// that stays dry across several yields means nothing is in flight —
+/// holding the batch open buys no amortization, only latency (continuous
+/// batching dispatches when the queue empties). The yields matter on a
+/// single core: they are what hand peers the CPU to enqueue the next
+/// frame before the verdict is final.
 const DRY_SPINS: u32 = 4;
 
-/// The adaptive batch-window state shared by both serve loops.
+/// The adaptive batch window. A batch closes when it reaches
+/// `BATCH_TARGET` frames or when its age exceeds the current window. The
+/// window is re-derived after every batch as
+/// `clamp(SLO − service_ewma, WINDOW_MIN, WINDOW_MAX)` — the slack the
+/// SLO leaves after the (smoothed) measured service time. When the
+/// server is fast the window widens, buying bigger batches per wakeup
+/// (better verify amortization); when batches already take the whole
+/// SLO to serve, the window collapses to `WINDOW_MIN` and the loop
+/// degenerates to drain-and-go.
 struct BatchWindow {
     service_ewma_ns: f64,
     window: Duration,
+    gauge: telemetry::Gauge,
 }
 
 impl BatchWindow {
-    fn new(cfg: &ServeConfig) -> Self {
+    fn new() -> Self {
         Self {
             service_ewma_ns: 0.0,
-            window: cfg.window_max,
+            window: WINDOW_MAX,
+            gauge: telemetry::gauge("brokerd.batch_window_ns"),
         }
     }
 
     /// Fold one measured batch service time into the EWMA and re-derive
     /// the window from the SLO slack.
-    fn observe(&mut self, service: Duration, cfg: &ServeConfig) {
+    fn observe(&mut self, service: Duration) {
         let s = service.as_nanos() as f64;
         self.service_ewma_ns = if self.service_ewma_ns == 0.0 {
             s
         } else {
             SERVICE_EWMA_ALPHA * s + (1.0 - SERVICE_EWMA_ALPHA) * self.service_ewma_ns
         };
-        let slack = (cfg.slo.as_nanos() as f64 - self.service_ewma_ns).max(0.0);
-        self.window = Duration::from_nanos(slack as u64).clamp(cfg.window_min, cfg.window_max);
-        telemetry::gauge("brokerd.batch_window_ns").set(self.window.as_nanos() as i64);
+        let slack = (SLO.as_nanos() as f64 - self.service_ewma_ns).max(0.0);
+        self.window = Duration::from_nanos(slack as u64).clamp(WINDOW_MIN, WINDOW_MAX);
+        self.gauge.set(self.window.as_nanos() as i64);
     }
 }
 
@@ -469,73 +472,61 @@ impl BatchWindow {
 /// [`read_frame`].)
 const RECV_BUF_LEN: usize = 8 * 1024;
 
-/// The UDP I/O stage: wait for readability, gather a batch under the
-/// adaptive window (drain until dry, then yield-spin for the window
-/// remainder, closing early after [`DRY_SPINS`] consecutive empty
-/// passes), process the whole batch through
-/// [`BrokerServer::process_batch`], then write every reply in a single
-/// flush pass. Runs until `stop` is set; a gathered batch is always
-/// fully processed and flushed before the flag is honored.
+/// One gathered batch: `(client slot, frame bytes)` in arrival order.
+type Batch = Vec<(usize, Vec<u8>)>;
+
+/// A frame source and reply sink behind the shared batch loop: the two
+/// places where UDP and TCP differ.
+trait Transport {
+    /// Wait up to `WAIT_TIMEOUT` for traffic (a source may already move
+    /// the first frame into `batch`); `false` when none came.
+    fn wait(&mut self, server: &mut BrokerServer, batch: &mut Batch) -> io::Result<bool>;
+
+    /// Move every frame that is already waiting into `batch`, up to
+    /// `MAX_BATCH`.
+    fn drain(&mut self, server: &mut BrokerServer, batch: &mut Batch) -> io::Result<()>;
+
+    /// Send one framed reply to the client in `slot`.
+    fn send(&mut self, slot: usize, bytes: &[u8]) -> io::Result<()>;
+}
+
+/// The I/O stage both transports run: wait for the first frame, gather a
+/// batch under the adaptive window (drain until dry, then yield-spin for
+/// the window remainder, closing early after [`DRY_SPINS`] consecutive
+/// empty passes), process the whole batch through
+/// [`BrokerServer::process_batch`], then send every reply in a single
+/// flush pass. Runs until `stop` is set; a gathered batch is always fully
+/// processed and flushed before the flag is honored.
 ///
-/// The in-window wait is a spin rather than a timed kernel read:
+/// The in-window wait is a spin rather than a timed kernel wait:
 /// `SO_RCVTIMEO` rounds sub-millisecond timeouts up to a scheduler tick
 /// (≈4 ms at HZ=250) — an order of magnitude longer than the whole
 /// window, which would serialize ping-pong clients at tick granularity.
-///
-/// # Errors
-/// Any socket error other than the would-block/timed-out family.
-pub fn serve(
+fn batch_loop(
     server: &mut BrokerServer,
-    sock: &UdpSocket,
+    transport: &mut impl Transport,
     stop: &AtomicBool,
-    cfg: &ServeConfig,
 ) -> io::Result<()> {
-    sock.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    let mut peers: Vec<SocketAddr> = Vec::new();
-    let mut peer_index: HashMap<SocketAddr, usize> = HashMap::new();
-    let mut arena: Vec<Vec<u8>> = Vec::new();
-    let mut meta: Vec<(usize, usize)> = Vec::new(); // (slot, len) per datagram
+    let mut batch = Batch::new();
     let mut replies: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut win = BatchWindow::new(cfg);
+    let mut win = BatchWindow::new();
     let wait_hist = telemetry::histogram("brokerd.batch_wait_ns");
 
     while !stop.load(Ordering::Relaxed) {
-        if !poller.wait_readable(sock, Some(cfg.wait_timeout))? {
+        batch.clear();
+        if !transport.wait(server, &mut batch)? {
             continue;
         }
         let opened = Instant::now();
-        meta.clear();
         let mut dry_spins = 0u32;
         loop {
-            let before = meta.len();
-            // Drain until dry or full.
-            while meta.len() < cfg.max_batch {
-                if arena.len() == meta.len() {
-                    arena.push(vec![0u8; RECV_BUF_LEN]);
-                }
-                let buf = &mut arena[meta.len()];
-                match sock.recv_from(buf) {
-                    Ok((len, addr)) => {
-                        let next_slot = peers.len();
-                        let slot = *peer_index.entry(addr).or_insert(next_slot);
-                        if slot == next_slot {
-                            peers.push(addr);
-                        }
-                        meta.push((slot, len));
-                    }
-                    Err(e) if polling::is_not_ready(&e) => break,
-                    Err(e) => return Err(e),
-                }
-            }
-            if meta.len() >= cfg.batch_target || meta.len() >= cfg.max_batch {
+            let before = batch.len();
+            transport.drain(server, &mut batch)?;
+            // `drain` stops at MAX_BATCH, which is above BATCH_TARGET.
+            if batch.len() >= BATCH_TARGET || opened.elapsed() >= win.window {
                 break;
             }
-            let age = opened.elapsed();
-            if age >= win.window {
-                break;
-            }
-            if meta.len() > before {
+            if batch.len() > before {
                 dry_spins = 0; // still arriving — keep gathering
                 continue;
             }
@@ -545,65 +536,212 @@ pub fn serve(
             }
             std::thread::yield_now();
         }
-        if meta.is_empty() {
-            continue; // spurious wakeup
+        if batch.is_empty() {
+            continue; // spurious wakeup, or only closed connections
         }
         wait_hist.record(opened.elapsed().as_nanos() as u64);
         let t0 = Instant::now();
-        let datagrams: Vec<(usize, &[u8])> = meta
-            .iter()
-            .enumerate()
-            .map(|(i, &(slot, len))| (slot, &arena[i][..len]))
-            .collect();
         replies.clear();
-        server.process_batch(&datagrams, &mut replies);
-        // Single flush pass.
+        let frames: Vec<(usize, &[u8])> = batch.iter().map(|(slot, f)| (*slot, &f[..])).collect();
+        server.process_batch(&frames, &mut replies);
         for (slot, bytes) in &replies {
-            send_all(sock, bytes, peers[*slot])?;
+            transport.send(*slot, bytes)?;
         }
-        win.observe(t0.elapsed(), cfg);
+        win.observe(t0.elapsed());
     }
     Ok(())
 }
 
-/// `send_to` with a retry on transient tx-queue pressure (rare on
-/// loopback; UDP never blocks on the receiver).
-fn send_all(sock: &UdpSocket, bytes: &[u8], to: SocketAddr) -> io::Result<()> {
-    loop {
-        match sock.send_to(bytes, to) {
-            Ok(_) => return Ok(()),
-            Err(e) if polling::is_not_ready(&e) => std::thread::yield_now(),
-            Err(e) => return Err(e),
+/// UDP frames: nonblocking `recv_from` into one receive buffer, one
+/// client slot per source address.
+struct UdpFrames<'a> {
+    sock: &'a UdpSocket,
+    poller: Poller,
+    buf: Vec<u8>,
+    peers: Vec<SocketAddr>,
+    peer_index: HashMap<SocketAddr, usize>,
+}
+
+impl Transport for UdpFrames<'_> {
+    fn wait(&mut self, _: &mut BrokerServer, _: &mut Batch) -> io::Result<bool> {
+        self.poller.wait_readable(self.sock, Some(WAIT_TIMEOUT))
+    }
+
+    fn drain(&mut self, _: &mut BrokerServer, batch: &mut Batch) -> io::Result<()> {
+        while batch.len() < MAX_BATCH {
+            match self.sock.recv_from(&mut self.buf) {
+                Ok((len, addr)) => {
+                    let next_slot = self.peers.len();
+                    let slot = *self.peer_index.entry(addr).or_insert(next_slot);
+                    if slot == next_slot {
+                        self.peers.push(addr);
+                    }
+                    batch.push((slot, self.buf[..len].to_vec()));
+                }
+                Err(e) if polling::is_not_ready(&e) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// `send_to` with a retry on transient tx-queue pressure (rare on
+    /// loopback; UDP never blocks on the receiver).
+    fn send(&mut self, slot: usize, bytes: &[u8]) -> io::Result<()> {
+        loop {
+            match self.sock.send_to(bytes, self.peers[slot]) {
+                Ok(_) => return Ok(()),
+                Err(e) if polling::is_not_ready(&e) => std::thread::yield_now(),
+                Err(e) => return Err(e),
+            }
         }
     }
 }
 
+/// Serve over UDP: the shared batch loop over datagrams from a
+/// nonblocking socket, replies sent back to each datagram's source
+/// address.
+///
+/// # Errors
+/// Any socket error other than the would-block/timed-out family.
+pub fn serve(
+    server: &mut BrokerServer,
+    sock: &UdpSocket,
+    stop: &AtomicBool,
+    _cfg: &ServeConfig,
+) -> io::Result<()> {
+    sock.set_nonblocking(true)?;
+    let mut udp = UdpFrames {
+        sock,
+        poller: Poller::new()?,
+        buf: vec![0u8; RECV_BUF_LEN],
+        peers: Vec::new(),
+        peer_index: HashMap::new(),
+    };
+    batch_loop(server, &mut udp, stop)
+}
+
 // ----- TCP stream transport -----
 
-/// What a TCP connection's reader thread reports to the serve loop.
-enum TcpEvent {
-    /// One complete frame, re-framed to the same bytes a datagram would
-    /// carry, so [`BrokerServer::process_batch`] runs one decode path.
-    Frame(usize, Vec<u8>),
-    /// The peer sent an oversized length prefix — protocol error; the
-    /// connection is dropped and the frame counted against `bad_frames`.
-    Bad(usize),
-    /// EOF or a transport error; the connection is gone.
-    Closed(usize),
-}
+/// What a TCP connection's reader thread reports to the serve loop:
+/// the connection's slot and one complete frame, re-framed to the same
+/// bytes a datagram would carry (so [`BrokerServer::process_batch`] runs
+/// one decode path), or the read error that ended the connection. An
+/// `InvalidData` error is an oversized length prefix — a protocol
+/// error, counted against `bad_frames`.
+type TcpEvent = (usize, io::Result<Vec<u8>>);
 
 /// Bound on buffered frames between the reader threads and the serve
 /// loop — backpressure: readers stop pulling from their sockets when the
 /// serve loop falls this far behind.
 const TCP_EVENT_BOUND: usize = 4096;
 
-/// The TCP I/O stage behind the same [`BrokerServer`] state machine:
-/// one blocking reader thread per accepted connection turns the byte
+/// TCP frames: one blocking reader thread per accepted connection feeds
+/// a bounded channel; the client slot is the connection's index.
+struct TcpFrames<'a> {
+    listener: &'a TcpListener,
+    tx: mpsc::SyncSender<TcpEvent>,
+    rx: mpsc::Receiver<TcpEvent>,
+    conns: Vec<Option<TcpStream>>,
+    readers: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl TcpFrames<'_> {
+    /// Accept every connection currently queued on the (nonblocking)
+    /// listener, starting a blocking reader thread per connection. A
+    /// connection whose reader cannot be started is shut down and
+    /// counted as refused; the server keeps serving.
+    fn accept_pending(&mut self, server: &mut BrokerServer) -> io::Result<()> {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _addr)) => stream,
+                Err(e) if polling::is_not_ready(&e) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            let id = self.conns.len();
+            stream.set_nodelay(true).ok();
+            let tx = self.tx.clone();
+            let reader = stream.try_clone().and_then(|mut read_half| {
+                std::thread::Builder::new()
+                    .name(format!("brokerd-tcp-{id}"))
+                    .spawn(move || loop {
+                        let read = read_frame(&mut read_half).map(|payload| frame(&payload));
+                        let last = read.is_err();
+                        if tx.send((id, read)).is_err() || last {
+                            break;
+                        }
+                    })
+            });
+            match reader {
+                Ok(handle) => {
+                    self.readers.push(handle);
+                    self.conns.push(Some(stream));
+                }
+                Err(_) => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    server.counters.tcp_refused += 1;
+                    server.tcp_refused.inc();
+                }
+            }
+        }
+    }
+
+    /// Batch a frame, or drop a connection whose reader has ended — the
+    /// stream cannot be resynchronized after a framing violation.
+    fn handle(&mut self, (id, read): TcpEvent, server: &mut BrokerServer, batch: &mut Batch) {
+        match read {
+            Ok(bytes) => batch.push((id, bytes)),
+            Err(e) => {
+                if e.kind() == io::ErrorKind::InvalidData {
+                    server.bad_frame();
+                }
+                if let Some(conn) = self.conns[id].take() {
+                    let _ = conn.shutdown(Shutdown::Both);
+                }
+            }
+        }
+    }
+}
+
+impl Transport for TcpFrames<'_> {
+    fn wait(&mut self, server: &mut BrokerServer, batch: &mut Batch) -> io::Result<bool> {
+        self.accept_pending(server)?;
+        // `self.tx` keeps the channel connected, so the only error is
+        // the timeout.
+        let Ok(ev) = self.rx.recv_timeout(WAIT_TIMEOUT) else {
+            return Ok(false);
+        };
+        self.handle(ev, server, batch);
+        Ok(true)
+    }
+
+    fn drain(&mut self, server: &mut BrokerServer, batch: &mut Batch) -> io::Result<()> {
+        while batch.len() < MAX_BATCH {
+            let Ok(ev) = self.rx.try_recv() else { break };
+            self.handle(ev, server, batch);
+        }
+        Ok(())
+    }
+
+    /// Reply bytes are already length-prefixed frames (the exact bytes
+    /// `write_frame` would emit — one framing for datagram and stream
+    /// transports). A failed write drops the connection, not the server.
+    fn send(&mut self, slot: usize, bytes: &[u8]) -> io::Result<()> {
+        let ok = self.conns[slot]
+            .as_mut()
+            .is_some_and(|stream| stream.write_all(bytes).is_ok());
+        if !ok {
+            self.conns[slot] = None;
+        }
+        Ok(())
+    }
+}
+
+/// Serve over TCP: the shared batch loop over frames from every accepted
+/// connection. One blocking reader thread per connection turns the byte
 /// stream into frames via [`read_frame`] (so requests bigger than any
 /// UDP datagram work end-to-end — the stream transport's whole point),
-/// the serve loop gathers frames across connections under the same
-/// adaptive batch window as [`serve`], and replies flush back on the
-/// accepting thread in arrival order.
+/// and replies are written back on the serving thread in arrival order.
 ///
 /// An oversized length prefix surfaces as `InvalidData` in the reader,
 /// counts one bad frame, and drops the connection — the stream cannot be
@@ -615,145 +753,36 @@ pub fn serve_tcp(
     server: &mut BrokerServer,
     listener: &TcpListener,
     stop: &AtomicBool,
-    cfg: &ServeConfig,
+    _cfg: &ServeConfig,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::sync_channel::<TcpEvent>(TCP_EVENT_BOUND);
-    let mut conns: Vec<Option<TcpStream>> = Vec::new();
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut batch: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut replies: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut win = BatchWindow::new(cfg);
-    let wait_hist = telemetry::histogram("brokerd.batch_wait_ns");
-
-    while !stop.load(Ordering::Relaxed) {
-        accept_pending(listener, &tx, &mut conns, &mut readers)?;
-        // Wait for the first frame of the next batch.
-        let first = match rx.recv_timeout(cfg.wait_timeout) {
-            Ok(ev) => ev,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break, // unreachable: tx held
-        };
-        let opened = Instant::now();
-        batch.clear();
-        handle_tcp_event(first, server, &mut conns, &mut batch);
-        loop {
-            // Drain whatever the readers already queued.
-            while batch.len() < cfg.max_batch {
-                match rx.try_recv() {
-                    Ok(ev) => handle_tcp_event(ev, server, &mut conns, &mut batch),
-                    Err(_) => break,
-                }
-            }
-            if batch.len() >= cfg.batch_target || batch.len() >= cfg.max_batch {
-                break;
-            }
-            let age = opened.elapsed();
-            if age >= win.window {
-                break;
-            }
-            match rx.recv_timeout((win.window - age).max(MIN_POLL)) {
-                Ok(ev) => handle_tcp_event(ev, server, &mut conns, &mut batch),
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if batch.is_empty() {
-            continue; // only control events (bad frame / close) arrived
-        }
-        wait_hist.record(opened.elapsed().as_nanos() as u64);
-        let t0 = Instant::now();
-        let datagrams: Vec<(usize, &[u8])> = batch
-            .iter()
-            .map(|(slot, b)| (*slot, b.as_slice()))
-            .collect();
-        replies.clear();
-        server.process_batch(&datagrams, &mut replies);
-        for (slot, bytes) in &replies {
-            // Reply bytes are already length-prefixed frames (the exact
-            // bytes `write_frame` would emit — one framing for datagram
-            // and stream transports).
-            let ok = conns[*slot]
-                .as_mut()
-                .is_some_and(|stream| stream.write_all(bytes).is_ok());
-            if !ok {
-                conns[*slot] = None;
-            }
-        }
-        win.observe(t0.elapsed(), cfg);
-    }
-    // Unblock the reader threads (they sit in blocking reads), then reap.
-    for conn in conns.iter().flatten() {
+    let (tx, rx) = mpsc::sync_channel(TCP_EVENT_BOUND);
+    let mut tcp = TcpFrames {
+        listener,
+        tx,
+        rx,
+        conns: Vec::new(),
+        readers: Vec::new(),
+    };
+    let result = batch_loop(server, &mut tcp, stop);
+    // Send FIN behind the flushed replies and unblock the reader threads
+    // (they sit in blocking reads or on a full channel), then reap them.
+    for conn in tcp.conns.iter().flatten() {
         let _ = conn.shutdown(Shutdown::Both);
     }
-    drop(rx);
-    for h in readers {
+    drop(tcp.rx);
+    for h in tcp.readers {
         let _ = h.join();
     }
-    Ok(())
-}
-
-/// Accept every connection currently queued on the (nonblocking)
-/// listener, spawning a blocking reader thread per connection.
-fn accept_pending(
-    listener: &TcpListener,
-    tx: &mpsc::SyncSender<TcpEvent>,
-    conns: &mut Vec<Option<TcpStream>>,
-    readers: &mut Vec<std::thread::JoinHandle<()>>,
-) -> io::Result<()> {
-    loop {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let id = conns.len();
-                stream.set_nodelay(true).ok();
-                let mut read_half = stream.try_clone()?;
-                let tx = tx.clone();
-                readers.push(
-                    std::thread::Builder::new()
-                        .name(format!("brokerd-tcp-{id}"))
-                        .spawn(move || loop {
-                            match read_frame(&mut read_half) {
-                                Ok(payload) => {
-                                    if tx.send(TcpEvent::Frame(id, frame(&payload))).is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                                    let _ = tx.send(TcpEvent::Bad(id));
-                                    break;
-                                }
-                                Err(_) => {
-                                    let _ = tx.send(TcpEvent::Closed(id));
-                                    break;
-                                }
-                            }
-                        })
-                        .expect("spawn tcp reader"),
-                );
-                conns.push(Some(stream));
-            }
-            Err(e) if polling::is_not_ready(&e) => return Ok(()),
-            Err(e) => return Err(e),
-        }
+    // Closing a socket with unread data resets the connection, and the
+    // reset discards replies the kernel has not sent yet. Read the
+    // receive queue dry first (after the read-side shutdown an empty
+    // queue reads as EOF, so this never blocks).
+    let mut sink = [0u8; 4096];
+    for mut conn in tcp.conns.into_iter().flatten() {
+        while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
     }
-}
-
-fn handle_tcp_event(
-    ev: TcpEvent,
-    server: &mut BrokerServer,
-    conns: &mut [Option<TcpStream>],
-    batch: &mut Vec<(usize, Vec<u8>)>,
-) {
-    match ev {
-        TcpEvent::Frame(id, bytes) => batch.push((id, bytes)),
-        TcpEvent::Bad(id) => {
-            server.bad_frame();
-            if let Some(conn) = conns[id].take() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
-        TcpEvent::Closed(id) => conns[id] = None,
-    }
+    result
 }
 
 // ----- Deterministic population + load generator -----
@@ -864,14 +893,16 @@ pub struct ClientConfig {
     /// single-request-per-batch baseline the batching win is measured
     /// against.
     pub window: usize,
-    /// Re-send a request with no reply after this long (UDP only; the
-    /// stream transport is reliable and never retransmits).
-    pub retransmit_after: Duration,
-    /// Give up entirely after this long.
-    pub deadline: Duration,
     /// Telemetry histogram receiving per-request latency, microseconds.
     pub rtt_hist: String,
 }
+
+/// A UDP client re-sends a request with no reply after this long (the
+/// stream transport is reliable and never retransmits).
+const RETRANSMIT_AFTER: Duration = Duration::from_millis(500);
+
+/// A client gives up on every unanswered request after this long.
+const CLIENT_DEADLINE: Duration = Duration::from_secs(120);
 
 /// What one load-generator client observed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -887,129 +918,110 @@ pub struct ClientOutcome {
     pub lost: u64,
 }
 
-/// Drive one client: pump `requests` through a bounded window over its
-/// own UDP socket, retransmitting on timeout, until every request is
-/// answered or the deadline passes.
-///
-/// # Errors
-/// Socket setup or I/O errors other than the would-block family.
-pub fn run_client(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<ClientOutcome> {
-    let sock = UdpSocket::bind(("127.0.0.1", 0))?;
-    sock.connect(cfg.server)?;
-    // Blocking socket with a short read timeout: the timeout bounds how
-    // stale the retransmit scan can get.
-    sock.set_read_timeout(Some(cfg.retransmit_after.min(Duration::from_millis(5))))?;
+/// The windowed client both transports run: pump `requests` through a
+/// bounded window with `send`, match the replies `recv` decodes to
+/// requests by `req_id`, and re-send stale requests if `retransmit`,
+/// until every request is answered or `CLIENT_DEADLINE` passes. `recv`
+/// yields `None` for a reply that does not decode; a not-ready error is
+/// a read timeout.
+fn client_loop(
+    cfg: &ClientConfig,
+    requests: &[Vec<u8>],
+    retransmit: bool,
+    send: impl Fn(&[u8]) -> io::Result<()>,
+    mut recv: impl FnMut() -> io::Result<Option<BrokerWire>>,
+) -> io::Result<ClientOutcome> {
     let hist = telemetry::histogram(cfg.rtt_hist.clone());
-
     let mut outcome = ClientOutcome::default();
-    let mut outstanding: HashMap<u64, (usize, Instant)> = HashMap::new();
+    // req_id (= index into `requests`) -> last send time.
+    let mut outstanding: HashMap<u64, Instant> = HashMap::new();
     let mut next = 0usize;
     let mut done = 0usize;
-    let mut buf = vec![0u8; RECV_BUF_LEN];
     let start = Instant::now();
     while done < requests.len() {
-        if start.elapsed() > cfg.deadline {
+        if start.elapsed() >= CLIENT_DEADLINE {
             outcome.lost = (requests.len() - done) as u64;
             break;
         }
         // Top up the window.
         while outstanding.len() < cfg.window && next < requests.len() {
-            sock.send(&requests[next])?;
-            outstanding.insert(next as u64, (next, Instant::now()));
+            send(&requests[next])?;
+            outstanding.insert(next as u64, Instant::now());
             next += 1;
         }
-        match sock.recv(&mut buf) {
-            Ok(n) => {
-                let Ok(payload) = unframe(&buf[..n]) else {
-                    continue;
-                };
-                let (req_id, ok) = match BrokerWire::decode(payload) {
-                    Some(BrokerWire::AuthOk { req_id, .. }) => (req_id, true),
-                    Some(BrokerWire::AuthErr { req_id, .. }) => (req_id, false),
-                    _ => continue,
-                };
-                if let Some((_, sent)) = outstanding.remove(&req_id) {
-                    hist.record(sent.elapsed().as_micros() as u64);
-                    if ok {
-                        outcome.ok += 1;
-                    } else {
-                        outcome.refused += 1;
-                    }
-                    done += 1;
-                }
-            }
-            Err(e) if polling::is_not_ready(&e) => {}
+        let answer = match recv() {
+            Ok(Some(BrokerWire::AuthOk { req_id, .. })) => Some((req_id, true)),
+            Ok(Some(BrokerWire::AuthErr { req_id, .. })) => Some((req_id, false)),
+            Ok(_) => None,
+            Err(e) if polling::is_not_ready(&e) => None,
             Err(e) => return Err(e),
+        };
+        let answered = answer.and_then(|(req_id, ok)| Some((outstanding.remove(&req_id)?, ok)));
+        if let Some((sent, ok)) = answered {
+            hist.record(sent.elapsed().as_micros() as u64);
+            if ok {
+                outcome.ok += 1;
+            } else {
+                outcome.refused += 1;
+            }
+            done += 1;
         }
-        // Retransmit anything stale.
-        let now = Instant::now();
-        for (&req_id, (idx, sent)) in &mut outstanding {
-            if now.duration_since(*sent) >= cfg.retransmit_after {
-                sock.send(&requests[*idx])?;
-                *sent = now;
-                outcome.retransmits += 1;
-                let _ = req_id;
+        if retransmit {
+            let now = Instant::now();
+            for (&req_id, sent) in &mut outstanding {
+                if now.duration_since(*sent) >= RETRANSMIT_AFTER {
+                    send(&requests[req_id as usize])?;
+                    *sent = now;
+                    outcome.retransmits += 1;
+                }
             }
         }
     }
     Ok(outcome)
 }
 
-/// Drive one client over a TCP stream: pump `requests` through a bounded
-/// window, reading replies with [`read_frame`]. The transport is
-/// reliable, so there is no retransmit path — an unanswered request past
+/// Drive one client over its own UDP socket, retransmitting requests
+/// with no reply after 500 ms, for at most 120 s.
+///
+/// # Errors
+/// Socket setup or I/O errors other than the would-block family.
+pub fn run_client(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<ClientOutcome> {
+    let sock = UdpSocket::bind(("127.0.0.1", 0))?;
+    sock.connect(cfg.server)?;
+    // The read timeout bounds how stale the retransmit scan can get.
+    sock.set_read_timeout(Some(Duration::from_millis(5)))?;
+    let mut buf = vec![0u8; RECV_BUF_LEN];
+    client_loop(
+        cfg,
+        requests,
+        true,
+        |frame| sock.send(frame).map(drop),
+        || {
+            let n = sock.recv(&mut buf)?;
+            Ok(unframe(&buf[..n]).ok().and_then(BrokerWire::decode))
+        },
+    )
+}
+
+/// Drive one client over a TCP stream, for at most 120 s. The transport
+/// is reliable, so nothing is retransmitted — an unanswered request past
 /// the deadline counts as lost.
 ///
 /// # Errors
 /// Connection setup or I/O errors other than the timeout family.
 pub fn run_client_tcp(cfg: &ClientConfig, requests: &[Vec<u8>]) -> io::Result<ClientOutcome> {
-    let mut stream = TcpStream::connect(cfg.server)?;
+    let stream = TcpStream::connect(cfg.server)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.deadline.max(Duration::from_millis(1))))?;
-    let hist = telemetry::histogram(cfg.rtt_hist.clone());
-
-    let mut outcome = ClientOutcome::default();
-    let mut outstanding: HashMap<u64, Instant> = HashMap::new();
-    let mut next = 0usize;
-    let mut done = 0usize;
-    let start = Instant::now();
-    while done < requests.len() {
-        if start.elapsed() > cfg.deadline {
-            outcome.lost = (requests.len() - done) as u64;
-            break;
-        }
-        // Top up the window. The pre-built request buffers are already
-        // length-prefixed frames — the same bytes `write_frame` emits.
-        while outstanding.len() < cfg.window && next < requests.len() {
-            stream.write_all(&requests[next])?;
-            outstanding.insert(next as u64, Instant::now());
-            next += 1;
-        }
-        match read_frame(&mut stream) {
-            Ok(payload) => {
-                let (req_id, ok) = match BrokerWire::decode(&payload) {
-                    Some(BrokerWire::AuthOk { req_id, .. }) => (req_id, true),
-                    Some(BrokerWire::AuthErr { req_id, .. }) => (req_id, false),
-                    _ => continue,
-                };
-                if let Some(sent) = outstanding.remove(&req_id) {
-                    hist.record(sent.elapsed().as_micros() as u64);
-                    if ok {
-                        outcome.ok += 1;
-                    } else {
-                        outcome.refused += 1;
-                    }
-                    done += 1;
-                }
-            }
-            Err(e) if polling::is_not_ready(&e) => {
-                outcome.lost = (requests.len() - done) as u64;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(outcome)
+    stream.set_read_timeout(Some(CLIENT_DEADLINE))?;
+    // The pre-built requests are already length-prefixed frames — the
+    // same bytes `write_frame` emits.
+    client_loop(
+        cfg,
+        requests,
+        false,
+        |frame| (&stream).write_all(frame),
+        || Ok(BrokerWire::decode(&read_frame(&mut &stream)?)),
+    )
 }
 
 /// Send one `Report` frame over an existing framed byte stream — used by
@@ -1188,8 +1200,6 @@ mod tests {
             &ClientConfig {
                 server: addr,
                 window: 8,
-                retransmit_after: Duration::from_millis(250),
-                deadline: Duration::from_secs(30),
                 rtt_hist: "test.brokerd.rtt_us".to_string(),
             },
             &requests,
@@ -1245,8 +1255,6 @@ mod tests {
             &ClientConfig {
                 server: addr,
                 window: 8,
-                retransmit_after: Duration::from_millis(250),
-                deadline: Duration::from_secs(30),
                 rtt_hist: "test.brokerd.tcp_rtt_us".to_string(),
             },
             &requests,
@@ -1289,8 +1297,6 @@ mod tests {
             &ClientConfig {
                 server: addr,
                 window: 2,
-                retransmit_after: Duration::from_millis(250),
-                deadline: Duration::from_secs(30),
                 rtt_hist: "test.brokerd.tcp_evil_rtt_us".to_string(),
             },
             &requests,

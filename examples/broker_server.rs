@@ -21,7 +21,6 @@ use cellbricks::sim::SimRng;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     // Server and clients derive the same keys from one seed, so no
@@ -117,8 +116,6 @@ fn main() {
         &ClientConfig {
             server: addr,
             window: 8,
-            retransmit_after: Duration::from_millis(250),
-            deadline: Duration::from_secs(30),
             rtt_hist: "example.broker_server.rtt_us".to_string(),
         },
         &requests,
